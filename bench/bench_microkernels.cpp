@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "alloc_count.hpp"
-#include "cluster/best_choice.hpp"
 #include "cluster/community.hpp"
 #include "cluster/fc_multilevel.hpp"
 #include "cluster/graph.hpp"
@@ -117,7 +116,8 @@ void BM_GlobalRouting(benchmark::State& state) {
   AllocCounters allocs(state);
   for (auto _ : state) {
     route::GlobalRouter router(f.nl, f.positions, f.fp.core, route::RouteOptions{});
-    benchmark::DoNotOptimize(router.run().wirelength_um);
+    benchmark::DoNotOptimize(
+        router.try_run(fault::DegradePolicy{}).value().wirelength_um);
   }
 }
 BENCHMARK(BM_GlobalRouting)->Unit(benchmark::kMillisecond);
@@ -166,17 +166,6 @@ void BM_FcClustering(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FcClustering)->Unit(benchmark::kMillisecond);
-
-void BM_BestChoice(benchmark::State& state) {
-  Fixture& f = fixture();
-  AllocCounters allocs(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cluster::best_choice_cluster(f.nl, cluster::BestChoiceOptions{})
-            .cluster_count);
-  }
-}
-BENCHMARK(BM_BestChoice)->Unit(benchmark::kMillisecond);
 
 void BM_Louvain(benchmark::State& state) {
   Fixture& f = fixture();

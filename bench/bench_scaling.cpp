@@ -41,7 +41,8 @@ void run_thread_sweep() {
     cluster::ClusteredNetlist clustered = cluster::build_clustered_netlist(
         nl, fc_result.cluster_of_cell, fc_result.cluster_count);
     util::Timer timer;
-    vpr::select_cluster_shapes(nl, clustered, vpr_options, nullptr);
+    vpr::try_select_cluster_shapes(nl, clustered, vpr_options, nullptr,
+                                   fault::DegradePolicy{}).value();
     const double seconds = timer.seconds();
     if (threads == 1) base_seconds = seconds;
     const double speedup = seconds > 0.0 ? base_seconds / seconds : 0.0;
@@ -80,10 +81,12 @@ int main() {
     options.vpr.min_cluster_instances = 1 << 20;  // isolate placement runtime
 
     netlist::Netlist nl_default = gen::generate(bench::library(), spec);
-    const flow::FlowResult def = flow::run_default_flow(nl_default, options);
+    const flow::FlowResult def =
+        flow::try_run_default_flow(nl_default, options).value();
 
     netlist::Netlist nl_ours = gen::generate(bench::library(), spec);
-    const flow::FlowResult ours = flow::run_clustered_flow(nl_ours, options);
+    const flow::FlowResult ours =
+        flow::try_run_clustered_flow(nl_ours, options).value();
     const double ours_cpu =
         ours.place.clustering_seconds + ours.place.placement_seconds;
     const double ratio = ours_cpu / def.place.placement_seconds;

@@ -3,13 +3,39 @@
 # shrunken design and asserts that (a) the run exits 0 — flow_cli exits 2
 # when any validator reports a violation — (b) the stdout summary reports
 # zero violations, and (c) the JSON run report carries the per-checker
-# "checks" section with every phase validator present.
+# "checks" section with every phase validator present. It also asserts that
+# every malformed flag value is a usage error (exit 2 with the usage text)
+# raised before any flow runs.
 #
 # Inputs: -DFLOW_CLI=<path to flow_cli> -DWORK_DIR=<writable directory>
 
 if(NOT DEFINED FLOW_CLI OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "check_smoke: FLOW_CLI and WORK_DIR must be defined")
 endif()
+
+# Usage errors. Each case is one flag list ("|" separates its words); the
+# leading --cells 200 --place-only keeps a wrongly accepted case short.
+set(usage_cases
+  "--flow|typo" "--flow|bc" "--flow|overlay" "--tool|bogus" "--shapes|square"
+  "--cells|abc" "--cells|0" "--cells|12x" "--shards|-2" "--threads|0"
+  "--threads|4x" "--flow|default|--sharded" "--sharded|--flow|default")
+foreach(usage_case IN LISTS usage_cases)
+  string(REPLACE "|" ";" case_args "${usage_case}")
+  execute_process(
+    COMMAND "${FLOW_CLI}" --design aes --cells 200 --place-only ${case_args}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR
+            "flow_cli ${usage_case}: want exit 2, got ${rc}:\n${out}\n${err}")
+  endif()
+  string(FIND "${err}" "usage: flow_cli" pos)
+  if(pos EQUAL -1 OR NOT out STREQUAL "")
+    message(FATAL_ERROR
+            "flow_cli ${usage_case}: want only a usage error:\n${out}\n${err}")
+  endif()
+endforeach()
 
 set(report "${WORK_DIR}/check_smoke_report.json")
 

@@ -4,24 +4,18 @@
 /// artifacts. This is the example to start from when integrating the
 /// library with external netlists.
 ///
-/// Usage:
-///   flow_cli [--design NAME | --verilog FILE] [--tool openroad|innovus]
-///            [--flow default|ours|blob|leiden|mfc|bc|overlay]
-///            [--sharded] [--shards N] [--place-only] [--list-designs]
-///            [--shapes uniform|random|vpr] [--clock PS] [--opt] [--detailed]
-///            [--write-verilog FILE] [--write-def FILE] [--write-svg FILE]
-///            [--write-congestion FILE] [--report-paths N]
-///            [--cells N] [--report FILE] [--trace FILE] [--check LEVEL]
-///            [--threads N] [--fault-plan SPEC]
-///            [--observe[=FILE]] [--qor[=FILE]]
+/// Usage: see kUsage below; it is printed on every usage error.
 ///
 /// --list-designs prints every generatable design (the six Table-1 stand-ins
 /// plus the scaled 1M-5M tier from src/gen/scale.hpp) with its instance
 /// count, Rent exponent, and generator seed, then exits.
-/// --sharded runs the region-sharded seeded placement (flow::run_sharded_flow)
-/// instead of the monolithic incremental pass; --shards sets the region
-/// count (default 8). --place-only skips the post-route PPA evaluation —
-/// the right mode for million-instance scale runs where routing dominates.
+/// --sharded runs the region-sharded seeded placement
+/// (flow::try_run_sharded_flow) instead of the monolithic incremental pass;
+/// it needs a clustered --flow, not default. --shards sets the region count
+/// (default 8). --place-only skips the post-route PPA evaluation — the right
+/// mode for million-instance scale runs where routing dominates.
+/// --cells, --shards and --threads take positive integers; --cells shrinks
+/// (or grows) the generated design to N instances.
 ///
 /// --report writes the telemetry run report (flow config, phase timings,
 /// metric snapshot, PPA outcome, errors/degradations) as JSON; --trace
@@ -44,12 +38,21 @@
 /// environment variable is used when the flag is absent. The flow degrades
 /// gracefully per FlowOptions::degrade; an unabsorbed structured error
 /// prints its code and exits with status 3.
+///
+/// Exit status: 0 success, 1 malformed fault plan or unwritable output,
+/// 2 usage error (unknown flag, unknown --flow/--tool/--shapes/--check
+/// value, non-positive --cells/--shards/--threads, --sharded with
+/// --flow default) or a --check violation, 3 flow error or a --verilog
+/// netlist that does not load.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "check/check.hpp"
 #include "exec/exec.hpp"
@@ -69,6 +72,17 @@
 #include "viz/viz.hpp"
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: flow_cli [--design NAME | --verilog FILE] [--tool openroad|innovus]\n"
+    "                [--flow default|ours|blob|leiden|mfc]\n"
+    "                [--sharded] [--shards N] [--place-only] [--list-designs]\n"
+    "                [--shapes uniform|random|vpr] [--clock PS] [--opt] [--detailed]\n"
+    "                [--write-verilog FILE] [--write-def FILE] [--write-svg FILE]\n"
+    "                [--write-congestion FILE] [--report-paths N]\n"
+    "                [--cells N] [--report FILE] [--trace FILE] [--check LEVEL]\n"
+    "                [--threads N] [--fault-plan SPEC]\n"
+    "                [--observe[=FILE]] [--qor[=FILE]]\n";
 
 struct Args {
   std::string design = "aes";
@@ -100,6 +114,32 @@ struct Args {
   std::string qor_path;  // empty = bench_results/<design>.qor.json
 };
 
+/// Parses `text` as a decimal int > 0 with nothing after it.
+bool parse_positive_int(const char* text, int* out) {
+  const char* end = text + std::strlen(text);
+  int parsed = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, parsed);
+  if (ec != std::errc() || ptr != end || parsed <= 0) return false;
+  *out = parsed;
+  return true;
+}
+
+/// True when `value` is one of `allowed`; otherwise prints a usage error.
+bool check_choice(const char* flag, const std::string& value,
+                  std::initializer_list<std::string_view> allowed) {
+  for (const std::string_view choice : allowed) {
+    if (value == choice) return true;
+  }
+  std::string expected;
+  for (const std::string_view choice : allowed) {
+    if (!expected.empty()) expected += '|';
+    expected += choice;
+  }
+  std::fprintf(stderr, "%s expects %s, got \"%s\"\n", flag, expected.c_str(),
+               value.c_str());
+  return false;
+}
+
 bool parse_args(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -117,13 +157,22 @@ bool parse_args(int argc, char** argv, Args* args) {
     else if (arg == "--write-svg") args->write_svg = value();
     else if (arg == "--write-congestion") args->write_congestion = value();
     else if (arg == "--report-paths") args->report_paths = std::atoi(value());
-    else if (arg == "--cells") args->cells = std::atoi(value());
+    else if (arg == "--cells" || arg == "--shards" || arg == "--threads") {
+      int* target = arg == "--cells"    ? &args->cells
+                    : arg == "--shards" ? &args->shards
+                                        : &args->threads;
+      const char* text = value();
+      if (!parse_positive_int(text, target)) {
+        std::fprintf(stderr, "%s expects a positive integer, got \"%s\"\n",
+                     arg.c_str(), text);
+        return false;
+      }
+    }
     else if (arg == "--report") args->report_json = value();
     else if (arg == "--trace") args->trace_json = value();
     else if (arg == "--opt") args->timing_opt = true;
     else if (arg == "--detailed") args->detailed = true;
     else if (arg == "--sharded") args->sharded = true;
-    else if (arg == "--shards") args->shards = std::atoi(value());
     else if (arg == "--place-only") args->place_only = true;
     else if (arg == "--list-designs") args->list_designs = true;
     else if (arg == "--observe") args->observe = true;
@@ -136,7 +185,6 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->qor = true;
       args->qor_path = arg.substr(std::strlen("--qor="));
     }
-    else if (arg == "--threads") args->threads = std::atoi(value());
     else if (arg == "--fault-plan") args->fault_plan = value();
     else if (arg == "--check") {
       const char* level = value();
@@ -151,6 +199,17 @@ bool parse_args(int argc, char** argv, Args* args) {
       return false;
     }
   }
+  if (!check_choice("--flow", args->flow,
+                    {"default", "ours", "blob", "leiden", "mfc"}) ||
+      !check_choice("--tool", args->tool, {"openroad", "innovus"}) ||
+      !check_choice("--shapes", args->shapes, {"uniform", "random", "vpr"})) {
+    return false;
+  }
+  if (args->sharded && args->flow == "default") {
+    std::fprintf(stderr,
+                 "--sharded needs a clustered --flow (ours|blob|leiden|mfc)\n");
+    return false;
+  }
   return true;
 }
 
@@ -159,7 +218,10 @@ bool parse_args(int argc, char** argv, Args* args) {
 int main(int argc, char** argv) {
   using namespace ppacd;
   Args args;
-  if (!parse_args(argc, argv, &args)) return 1;
+  if (!parse_args(argc, argv, &args)) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
   if (args.list_designs) {
     std::printf("%-18s %-9s %10s %6s %12s\n", "name", "family", "instances",
                 "rent", "seed");
@@ -242,8 +304,6 @@ int main(int argc, char** argv) {
   if (args.flow == "blob") options.cluster_method = flow::ClusterMethod::kLouvainBlob;
   else if (args.flow == "leiden") options.cluster_method = flow::ClusterMethod::kLeiden;
   else if (args.flow == "mfc") options.cluster_method = flow::ClusterMethod::kMfc;
-  else if (args.flow == "bc") options.cluster_method = flow::ClusterMethod::kBestChoice;
-  else if (args.flow == "overlay") options.cluster_method = flow::ClusterMethod::kCutOverlay;
   options.timing_optimization = args.timing_opt;
   options.detailed_placement = args.detailed;
   options.check_level = args.check_level;

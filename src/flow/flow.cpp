@@ -1,6 +1,7 @@
 #include "flow/flow.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "flow/report.hpp"
@@ -9,8 +10,6 @@
 #include "check/netlist_check.hpp"
 #include "check/place_check.hpp"
 #include "check/route_check.hpp"
-#include "cluster/best_choice.hpp"
-#include "cluster/overlay.hpp"
 #include "cluster/clustered_netlist.hpp"
 #include "cluster/community.hpp"
 #include "cluster/graph.hpp"
@@ -123,23 +122,6 @@ fault::Expected<ClusteringOutcome, fault::FlowError> run_clustering(
       out.count = result.cluster_count;
       break;
     }
-    case ClusterMethod::kBestChoice: {
-      cluster::BestChoiceOptions bc;
-      bc.seed = options.seed;
-      const cluster::BestChoiceResult result = cluster::best_choice_cluster(nl, bc);
-      out.assignment = result.cluster_of_cell;
-      out.count = result.cluster_count;
-      break;
-    }
-    case ClusterMethod::kCutOverlay: {
-      cluster::CutOverlayOptions overlay;
-      overlay.seed = options.seed;
-      overlay.target_cluster_count = options.fc.target_cluster_count;
-      const cluster::CutOverlayResult result = cluster::cut_overlay_cluster(nl, overlay);
-      out.assignment = result.cluster_of_cell;
-      out.count = result.cluster_count;
-      break;
-    }
     case ClusterMethod::kLeiden:
     case ClusterMethod::kLouvainBlob: {
       const cluster::Graph graph = cluster::clique_expand(nl);
@@ -244,65 +226,149 @@ void run_timing_optimization(netlist::Netlist& nl, const place::Floorplan& fp,
   });
 }
 
-}  // namespace
+/// `options.placer` with the flow seed and per-iteration tracing: the
+/// settings of every top-level placement the flow runs.
+place::GlobalPlacerOptions flow_placer_options(const FlowOptions& options) {
+  place::GlobalPlacerOptions placer_options = options.placer;
+  placer_options.seed = options.seed;
+  placer_options.trace_iterations = true;
+  return placer_options;
+}
 
-fault::Expected<FlowResult, fault::FlowError> try_run_default_flow(
-    netlist::Netlist& nl, const FlowOptions& options) {
-  FlowResult result;
-  run_check(options, [&](check::CheckLevel level) {
-    return check::check_netlist(nl, level);
-  });
-  const place::Floorplan fp = make_floorplan(nl, options);
-  const place::PlaceModel model = place::make_place_model(nl, fp);
-
-  place::LegalizeResult legal;
-  {
-    PPACD_SPAN(span, "flow.global_place");
-    span.anchor();
-    util::ScopedTimer timer(result.place.placement_seconds);
-    place::GlobalPlacerOptions placer_options = options.placer;
-    placer_options.seed = options.seed;
-    placer_options.trace_iterations = true;
-    place::GlobalPlacer placer(model, placer_options);
-    auto placed_or = placer.try_run(options.degrade);
-    if (!placed_or.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(placed_or).error());
-    }
-    const place::PlaceResult placed = std::move(placed_or).value();
-    if (!placed.degrade_code.empty()) {
-      fault::record_degradation({"place.solve", placed.degrade_code,
-                                 "early-stop", "flat global placement"});
-    }
-    legal = place::legalize(model, placed.placement);
-    if (options.detailed_placement) {
-      legal.placement =
-          place::detailed_place(model, legal.placement, place::DetailedOptions{})
-              .placement;
-    }
-    PPACD_SPAN_ATTR(span, "iterations", placed.iterations);
-    PPACD_SPAN_ATTR(span, "overflow", placed.overflow);
+/// Legalizes a global placement, then runs window-reordering detailed
+/// placement on it when `options.detailed_placement` is set.
+place::Placement legalize_and_refine(const place::PlaceModel& model,
+                                     const place::Placement& placement,
+                                     const FlowOptions& options) {
+  place::LegalizeResult legal = place::legalize(model, placement);
+  if (options.detailed_placement) {
+    return place::detailed_place(model, legal.placement, place::DetailedOptions{})
+        .placement;
   }
+  return std::move(legal.placement);
+}
 
-  run_check(options, [&](check::CheckLevel level) {
-    return check::check_placement(model, legal.placement, level);
-  });
-  result.place.positions = place::cell_positions(nl, legal.placement);
+/// Records the legalized cell positions and their HPWL in `result`, then
+/// runs the optional timing-optimization stage.
+void finish_placement(netlist::Netlist& nl, const place::Floorplan& fp,
+                      const place::Placement& legal, const FlowOptions& options,
+                      FlowResult& result) {
+  result.place.positions = place::cell_positions(nl, legal);
   result.place.hpwl_um = place::netlist_hpwl(nl, result.place.positions);
   if (options.timing_optimization) {
     run_timing_optimization(nl, fp, options, result);
   }
-  return result;
 }
 
-FlowResult run_default_flow(netlist::Netlist& nl, const FlowOptions& options) {
-  auto result = try_run_default_flow(nl, options);
-  PPACD_CHECK(result.has_value(),
-              "default flow failed: " << result.error().code);
-  return std::move(result).value();
+/// The flat-placement stage of the clustered flow. The public entry point
+/// picks it: try_run_clustered_flow runs kIncremental, try_run_sharded_flow
+/// runs kSharded.
+enum class FlatStage { kIncremental, kSharded };
+
+/// A flat stage's global placement (before legalization).
+struct FlatPlacement {
+  place::Placement placement;
+  double overflow = 0.0;
+  int iterations = 0;  ///< kIncremental only
+};
+
+/// One monolithic incremental pass from the seed. The Innovus-like tool
+/// fences every V-P&R-shaped cluster to its placed footprint (Alg. 1
+/// line 18) for this pass only; line 20 removes the fences, so the caller
+/// legalizes on the unfenced `flat_model`.
+fault::Expected<FlatPlacement, fault::FlowError> place_incremental(
+    const place::PlaceModel& flat_model, const place::Placement& seed_flat,
+    const cluster::ClusteredNetlist& clustered,
+    const place::Placement& cluster_placement, const place::Floorplan& fp,
+    const FlowOptions& options) {
+  std::optional<place::PlaceModel> fenced;
+  if (options.tool == Tool::kInnovusLike) {
+    fenced = flat_model;
+    for (const cluster::ClusterId ci : clustered.cluster_ids()) {
+      const cluster::Cluster& c = clustered.clusters[ci];
+      if (static_cast<int>(c.cells.size()) <= options.vpr.min_cluster_instances) {
+        continue;
+      }
+      geom::Rect region = cluster_region(clustered, ci, cluster_placement);
+      // Clip the fence to the core.
+      region = geom::Rect::make(std::max(region.lx, fp.core.lx),
+                                std::max(region.ly, fp.core.ly),
+                                std::min(region.ux, fp.core.ux),
+                                std::min(region.uy, fp.core.uy));
+      if (region.width() <= 0.0 || region.height() <= 0.0) continue;
+      for (const netlist::CellId cell : c.cells) {
+        fenced->objects[cell.index()].region = region;
+      }
+    }
+  }
+
+  place::GlobalPlacer flat_placer(fenced ? *fenced : flat_model,
+                                  flow_placer_options(options));
+  auto incremental_or = flat_placer.try_run_incremental(seed_flat, options.degrade);
+  if (!incremental_or.has_value()) {
+    return fault::Unexpected<fault::FlowError>(std::move(incremental_or).error());
+  }
+  place::PlaceResult incremental = std::move(incremental_or).value();
+  if (!incremental.degrade_code.empty()) {
+    fault::record_degradation({"place.solve", incremental.degrade_code,
+                               "early-stop", "incremental flat placement"});
+  }
+  return FlatPlacement{std::move(incremental.placement), incremental.overflow,
+                       incremental.iterations};
 }
 
-fault::Expected<FlowResult, fault::FlowError> try_run_clustered_flow(
-    netlist::Netlist& nl, const FlowOptions& options) {
+/// Region-sharded placement from the seed: each placed cluster footprint is
+/// one partitionable group, place::partition_regions maps the groups onto
+/// `options.sharding.shards` floorplan regions, and place::try_place_sharded
+/// places the regions independently and stitches them. Shards stand in for
+/// fences, so this stage adds no Innovus-style region constraints. Fills the
+/// shard counts of `outcome`.
+fault::Expected<FlatPlacement, fault::FlowError> place_sharded(
+    const netlist::Netlist& nl, const place::PlaceModel& flat_model,
+    const place::Placement& seed_flat, const cluster::ClusteredNetlist& clustered,
+    const place::Placement& cluster_placement, const place::Floorplan& fp,
+    const FlowOptions& options, PlaceOutcome& outcome) {
+  std::vector<place::ShardGroup> groups;
+  groups.reserve(clustered.cluster_count());
+  for (const cluster::ClusterId ci : clustered.cluster_ids()) {
+    place::ShardGroup group;
+    group.center = cluster_placement[ci.index()];
+    group.rect = cluster_region(clustered, ci, cluster_placement);
+    group.weight =
+        static_cast<std::int64_t>(clustered.clusters[ci].cells.size());
+    groups.push_back(group);
+  }
+  const place::RegionPartition partition =
+      place::partition_regions(groups, fp.core, options.sharding.shards);
+  outcome.shard_count = partition.shard_count();
+
+  std::vector<std::int32_t> shard_of_object(flat_model.objects.size(), -1);
+  for (std::size_t i = 0; i < nl.cell_count(); ++i) {
+    const cluster::ClusterId ci =
+        clustered.cluster_of_cell[static_cast<netlist::CellId>(i)];
+    shard_of_object[i] = partition.shard_of_group[ci.index()];
+  }
+
+  auto sharded_or = place::try_place_sharded(
+      flat_model, seed_flat, shard_of_object, partition, options.sharding,
+      flow_placer_options(options), options.degrade);
+  if (!sharded_or.has_value()) {
+    return fault::Unexpected<fault::FlowError>(std::move(sharded_or).error());
+  }
+  place::ShardedPlaceResult sharded = std::move(sharded_or).value();
+  for (const place::ShardStat& stat : sharded.shards) {
+    outcome.shard_fallbacks += stat.fell_back ? 1 : 0;
+  }
+  return FlatPlacement{std::move(sharded.placement), sharded.overflow};
+}
+
+/// Algorithm 1 with a pluggable flat stage: netlist check, floorplan,
+/// clustering (lines 2-10), cluster shapes (lines 12-13), cluster seed
+/// placement and induced cell positions, then `stage` (lines 15-25), then
+/// legalization, optional detailed placement, the placement check and
+/// optional timing optimization.
+fault::Expected<FlowResult, fault::FlowError> run_clustered(
+    netlist::Netlist& nl, const FlowOptions& options, FlatStage stage) {
   FlowResult result;
   run_check(options, [&](check::CheckLevel level) {
     return check::check_netlist(nl, level);
@@ -346,7 +412,8 @@ fault::Expected<FlowResult, fault::FlowError> try_run_clustered_flow(
   }
 
   // --- Seed placement of the clustered netlist (lines 15-25) ------------------
-  place::LegalizeResult legal;
+  const bool sharded = stage == FlatStage::kSharded;
+  place::Placement legal;
   {
   util::ScopedTimer placement_timer(result.place.placement_seconds);
   std::vector<geom::Point> seeded_cells;
@@ -358,11 +425,9 @@ fault::Expected<FlowResult, fault::FlowError> try_run_clustered_flow(
         options.tool == Tool::kOpenRoadLike ? options.io_weight_scale : 1.0;
     const place::PlaceModel cluster_model =
         cluster::make_cluster_place_model(clustered, nl, fp, io_scale);
-    place::GlobalPlacerOptions seed_options = options.placer;
-    seed_options.seed = options.seed;
+    place::GlobalPlacerOptions seed_options = flow_placer_options(options);
     // Cluster macros cannot be untangled by cell shifting; use bisection.
     seed_options.spread_mode = place::SpreadMode::kBisection;
-    seed_options.trace_iterations = true;
     place::GlobalPlacer seed_placer(cluster_model, seed_options);
     auto seed_or = seed_placer.try_run(options.degrade);
     if (!seed_or.has_value()) {
@@ -381,240 +446,97 @@ fault::Expected<FlowResult, fault::FlowError> try_run_clustered_flow(
     PPACD_SPAN_ATTR(span, "iterations", seed_placed.iterations);
   }
 
-  PPACD_SPAN(incremental_span, "flow.incremental_place");
-  incremental_span.anchor();
-
-  // Flat model for the incremental pass; the Innovus-like tool adds region
-  // constraints for the V-P&R-shaped clusters (line 18).
-  place::PlaceModel flat_model = place::make_place_model(nl, fp);
-  if (options.tool == Tool::kInnovusLike) {
-    for (const cluster::ClusterId ci : clustered.cluster_ids()) {
-      const cluster::Cluster& c = clustered.clusters[ci];
-      if (static_cast<int>(c.cells.size()) <= options.vpr.min_cluster_instances) {
-        continue;
-      }
-      geom::Rect region = cluster_region(clustered, ci, seed_placed.placement);
-      // Clip the fence to the core.
-      region = geom::Rect::make(std::max(region.lx, fp.core.lx),
-                                std::max(region.ly, fp.core.ly),
-                                std::min(region.ux, fp.core.ux),
-                                std::min(region.uy, fp.core.uy));
-      if (region.width() <= 0.0 || region.height() <= 0.0) continue;
-      for (const netlist::CellId cell : c.cells) {
-        flat_model.objects[cell.index()].region = region;
-      }
-    }
-  }
-
+  // --- Flat stage from the induced seed ----------------------------------------
+  PPACD_SPAN(flat_span, sharded ? "flow.sharded_place" : "flow.incremental_place");
+  flat_span.anchor();
+  const place::PlaceModel flat_model = place::make_place_model(nl, fp);
   place::Placement seed_flat(flat_model.objects.size());
   for (std::size_t i = 0; i < nl.cell_count(); ++i) seed_flat[i] = seeded_cells[i];
   for (std::size_t i = nl.cell_count(); i < flat_model.objects.size(); ++i) {
     seed_flat[i] = flat_model.objects[i].fixed_position;
   }
-  place::GlobalPlacerOptions inc_options = options.placer;
-  inc_options.seed = options.seed;
-  inc_options.trace_iterations = true;
-  place::GlobalPlacer flat_placer(flat_model, inc_options);
-  auto incremental_or = flat_placer.try_run_incremental(seed_flat, options.degrade);
-  if (!incremental_or.has_value()) {
-    return fault::Unexpected<fault::FlowError>(std::move(incremental_or).error());
+  auto flat_or = sharded
+                     ? place_sharded(nl, flat_model, seed_flat, clustered,
+                                     seed_placed.placement, fp, options, result.place)
+                     : place_incremental(flat_model, seed_flat, clustered,
+                                         seed_placed.placement, fp, options);
+  if (!flat_or.has_value()) {
+    return fault::Unexpected<fault::FlowError>(std::move(flat_or).error());
   }
-  const place::PlaceResult incremental = std::move(incremental_or).value();
-  if (!incremental.degrade_code.empty()) {
-    fault::record_degradation({"place.solve", incremental.degrade_code,
-                               "early-stop", "incremental flat placement"});
-  }
-
-  // Remove region constraints (line 20) before legalization so cells can
-  // settle into legal sites anywhere.
-  place::PlaceModel unfenced = flat_model;
-  for (place::PlaceObject& obj : unfenced.objects) obj.region.reset();
-  legal = place::legalize(unfenced, incremental.placement);
-  if (options.detailed_placement) {
-    legal.placement =
-        place::detailed_place(unfenced, legal.placement, place::DetailedOptions{})
-            .placement;
-  }
+  const FlatPlacement flat = std::move(flat_or).value();
+  legal = legalize_and_refine(flat_model, flat.placement, options);
   run_check(options, [&](check::CheckLevel level) {
-    return check::check_placement(unfenced, legal.placement, level);
+    return check::check_placement(flat_model, legal, level);
   });
-  PPACD_SPAN_ATTR(incremental_span, "iterations", incremental.iterations);
-  PPACD_SPAN_ATTR(incremental_span, "overflow", incremental.overflow);
-  }  // placement scope (seed + incremental)
-
-  result.place.positions = place::cell_positions(nl, legal.placement);
-  result.place.hpwl_um = place::netlist_hpwl(nl, result.place.positions);
-  if (options.timing_optimization) {
-    run_timing_optimization(nl, fp, options, result);
+  if (sharded) {
+    PPACD_SPAN_ATTR(flat_span, "shards", result.place.shard_count);
+    PPACD_SPAN_ATTR(flat_span, "fallbacks", result.place.shard_fallbacks);
+  } else {
+    PPACD_SPAN_ATTR(flat_span, "iterations", flat.iterations);
   }
-  PPACD_LOG_INFO("flow") << nl.name() << ": clustered flow, "
-                         << clustering.count << " clusters, HPWL "
-                         << result.place.hpwl_um;
+  PPACD_SPAN_ATTR(flat_span, "overflow", flat.overflow);
+  }  // placement scope (seed + flat stage)
+
+  finish_placement(nl, fp, legal, options, result);
+  if (sharded) {
+    PPACD_LOG_INFO("flow") << nl.name() << ": sharded flow, "
+                           << result.place.cluster_count << " clusters, "
+                           << result.place.shard_count << " shards, HPWL "
+                           << result.place.hpwl_um;
+  } else {
+    PPACD_LOG_INFO("flow") << nl.name() << ": clustered flow, "
+                           << clustering.count << " clusters, HPWL "
+                           << result.place.hpwl_um;
+  }
   return result;
 }
 
-FlowResult run_clustered_flow(netlist::Netlist& nl, const FlowOptions& options) {
-  auto result = try_run_clustered_flow(nl, options);
-  PPACD_CHECK(result.has_value(),
-              "clustered flow failed: " << result.error().code);
-  return std::move(result).value();
-}
+}  // namespace
 
-fault::Expected<FlowResult, fault::FlowError> try_run_sharded_flow(
+fault::Expected<FlowResult, fault::FlowError> try_run_default_flow(
     netlist::Netlist& nl, const FlowOptions& options) {
   FlowResult result;
   run_check(options, [&](check::CheckLevel level) {
     return check::check_netlist(nl, level);
   });
   const place::Floorplan fp = make_floorplan(nl, options);
+  const place::PlaceModel model = place::make_place_model(nl, fp);
 
-  // --- Clustering + shapes: identical to the clustered flow ------------------
-  ClusteringOutcome clustering;
-  cluster::ClusteredNetlist clustered;
+  place::Placement legal;
   {
-    PPACD_SPAN(span, "flow.cluster");
+    PPACD_SPAN(span, "flow.global_place");
     span.anchor();
-    util::ScopedTimer timer(result.place.clustering_seconds);
-    auto clustering_or = run_clustering(nl, options);
-    if (!clustering_or.has_value()) {
-      return fault::Unexpected<fault::FlowError>(
-          std::move(clustering_or).error());
+    util::ScopedTimer timer(result.place.placement_seconds);
+    place::GlobalPlacer placer(model, flow_placer_options(options));
+    auto placed_or = placer.try_run(options.degrade);
+    if (!placed_or.has_value()) {
+      return fault::Unexpected<fault::FlowError>(std::move(placed_or).error());
     }
-    clustering = std::move(clustering_or).value();
-    clustered = cluster::build_clustered_netlist(nl, clustering.assignment,
-                                                 clustering.count);
-    PPACD_SPAN_ATTR(span, "method", to_string(options.cluster_method));
-    PPACD_SPAN_ATTR(span, "clusters", clustering.count);
+    const place::PlaceResult placed = std::move(placed_or).value();
+    if (!placed.degrade_code.empty()) {
+      fault::record_degradation({"place.solve", placed.degrade_code,
+                                 "early-stop", "flat global placement"});
+    }
+    legal = legalize_and_refine(model, placed.placement, options);
+    PPACD_SPAN_ATTR(span, "iterations", placed.iterations);
+    PPACD_SPAN_ATTR(span, "overflow", placed.overflow);
   }
+
   run_check(options, [&](check::CheckLevel level) {
-    return check::check_clustering(nl, clustered, level);
+    return check::check_placement(model, legal, level);
   });
-  result.place.cluster_count = clustering.count;
-
-  {
-    PPACD_SPAN(span, "flow.shape");
-    span.anchor();
-    util::ScopedTimer timer(result.place.shaping_seconds);
-    auto shaped = apply_shapes(nl, clustered, options, result.place);
-    if (!shaped.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(shaped).error());
-    }
-    PPACD_SPAN_ATTR(span, "mode", to_string(options.shape_mode));
-    PPACD_SPAN_ATTR(span, "shaped", result.place.shaped_clusters);
-  }
-
-  // --- Seed placement + sharded flat placement -------------------------------
-  place::PlaceModel flat_model;
-  place::LegalizeResult legal;
-  {
-  util::ScopedTimer placement_timer(result.place.placement_seconds);
-  place::PlaceResult seed_placed;
-  std::vector<geom::Point> seeded_cells;
-  {
-    PPACD_SPAN(span, "flow.seed_place");
-    span.anchor();
-    const double io_scale =
-        options.tool == Tool::kOpenRoadLike ? options.io_weight_scale : 1.0;
-    const place::PlaceModel cluster_model =
-        cluster::make_cluster_place_model(clustered, nl, fp, io_scale);
-    place::GlobalPlacerOptions seed_options = options.placer;
-    seed_options.seed = options.seed;
-    seed_options.spread_mode = place::SpreadMode::kBisection;
-    seed_options.trace_iterations = true;
-    place::GlobalPlacer seed_placer(cluster_model, seed_options);
-    auto seed_or = seed_placer.try_run(options.degrade);
-    if (!seed_or.has_value()) {
-      return fault::Unexpected<fault::FlowError>(std::move(seed_or).error());
-    }
-    seed_placed = std::move(seed_or).value();
-    if (!seed_placed.degrade_code.empty()) {
-      fault::record_degradation({"place.solve", seed_placed.degrade_code,
-                                 "early-stop", "cluster seed placement"});
-    }
-    seeded_cells = cluster::induce_cell_positions(
-        clustered, nl, seed_placed.placement, options.scatter_seed, options.seed);
-    PPACD_SPAN_ATTR(span, "iterations", seed_placed.iterations);
-  }
-
-  PPACD_SPAN(shard_span, "flow.sharded_place");
-  shard_span.anchor();
-
-  // Each placed cluster footprint is one partitionable group; the region
-  // partitioner maps groups onto `options.sharding.shards` floorplan regions.
-  std::vector<place::ShardGroup> groups;
-  groups.reserve(clustered.cluster_count());
-  for (const cluster::ClusterId ci : clustered.cluster_ids()) {
-    place::ShardGroup group;
-    group.center = seed_placed.placement[ci.index()];
-    group.rect = cluster_region(clustered, ci, seed_placed.placement);
-    group.weight =
-        static_cast<std::int64_t>(clustered.clusters[ci].cells.size());
-    groups.push_back(group);
-  }
-  const place::RegionPartition partition =
-      place::partition_regions(groups, fp.core, options.sharding.shards);
-  result.place.shard_count = partition.shard_count();
-
-  // Flat model; shards stand in for fences, so the sharded flow adds no
-  // Innovus-style region constraints.
-  flat_model = place::make_place_model(nl, fp);
-  std::vector<std::int32_t> shard_of_object(flat_model.objects.size(), -1);
-  for (std::size_t i = 0; i < nl.cell_count(); ++i) {
-    const cluster::ClusterId ci =
-        clustered.cluster_of_cell[static_cast<netlist::CellId>(i)];
-    shard_of_object[i] = partition.shard_of_group[ci.index()];
-  }
-
-  place::Placement seed_flat(flat_model.objects.size());
-  for (std::size_t i = 0; i < nl.cell_count(); ++i) seed_flat[i] = seeded_cells[i];
-  for (std::size_t i = nl.cell_count(); i < flat_model.objects.size(); ++i) {
-    seed_flat[i] = flat_model.objects[i].fixed_position;
-  }
-  place::GlobalPlacerOptions inc_options = options.placer;
-  inc_options.seed = options.seed;
-  inc_options.trace_iterations = true;
-  auto sharded_or =
-      place::try_place_sharded(flat_model, seed_flat, shard_of_object, partition,
-                               options.sharding, inc_options, options.degrade);
-  if (!sharded_or.has_value()) {
-    return fault::Unexpected<fault::FlowError>(std::move(sharded_or).error());
-  }
-  const place::ShardedPlaceResult sharded = std::move(sharded_or).value();
-  for (const place::ShardStat& stat : sharded.shards) {
-    result.place.shard_fallbacks += stat.fell_back ? 1 : 0;
-  }
-
-  legal = place::legalize(flat_model, sharded.placement);
-  if (options.detailed_placement) {
-    legal.placement =
-        place::detailed_place(flat_model, legal.placement, place::DetailedOptions{})
-            .placement;
-  }
-  run_check(options, [&](check::CheckLevel level) {
-    return check::check_placement(flat_model, legal.placement, level);
-  });
-  PPACD_SPAN_ATTR(shard_span, "shards", result.place.shard_count);
-  PPACD_SPAN_ATTR(shard_span, "fallbacks", result.place.shard_fallbacks);
-  PPACD_SPAN_ATTR(shard_span, "overflow", sharded.overflow);
-  }  // placement scope (seed + sharded + stitch)
-
-  result.place.positions = place::cell_positions(nl, legal.placement);
-  result.place.hpwl_um = place::netlist_hpwl(nl, result.place.positions);
-  if (options.timing_optimization) {
-    run_timing_optimization(nl, fp, options, result);
-  }
-  PPACD_LOG_INFO("flow") << nl.name() << ": sharded flow, "
-                         << result.place.cluster_count << " clusters, "
-                         << result.place.shard_count << " shards, HPWL "
-                         << result.place.hpwl_um;
+  finish_placement(nl, fp, legal, options, result);
   return result;
 }
 
-FlowResult run_sharded_flow(netlist::Netlist& nl, const FlowOptions& options) {
-  auto result = try_run_sharded_flow(nl, options);
-  PPACD_CHECK(result.has_value(),
-              "sharded flow failed: " << result.error().code);
-  return std::move(result).value();
+fault::Expected<FlowResult, fault::FlowError> try_run_clustered_flow(
+    netlist::Netlist& nl, const FlowOptions& options) {
+  return run_clustered(nl, options, FlatStage::kIncremental);
+}
+
+fault::Expected<FlowResult, fault::FlowError> try_run_sharded_flow(
+    netlist::Netlist& nl, const FlowOptions& options) {
+  return run_clustered(nl, options, FlatStage::kSharded);
 }
 
 fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
@@ -708,14 +630,6 @@ fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
   }
   out.power_w = base.total_w - base.clock_w + cts_clock_w + buffer_leakage_w;
   return out;
-}
-
-PpaOutcome evaluate_ppa(const netlist::Netlist& nl,
-                        const std::vector<geom::Point>& positions,
-                        const FlowOptions& options) {
-  auto out = try_evaluate_ppa(nl, positions, options);
-  PPACD_CHECK(out.has_value(), "PPA evaluation failed: " << out.error().code);
-  return std::move(out).value();
 }
 
 }  // namespace ppacd::flow

@@ -2,22 +2,25 @@
 /// \brief Algorithm 1: the full clustering-driven placement flow, its
 /// baselines, and post-route PPA evaluation.
 ///
-/// Flows provided:
-///   * run_default_flow  - flat global placement (the "Default" rows),
-///   * run_clustered_flow - the paper's approach: PPA-info extraction,
+/// Flows provided (all fallible, see below):
+///   * try_run_default_flow - flat global placement (the "Default" rows),
+///   * try_run_clustered_flow - the paper's approach: PPA-info extraction,
 ///     hierarchy grouping (Alg. 2), enhanced FC clustering (Eq. 2/3),
 ///     cluster shaping (V-P&R / ML / random / uniform), cluster seed
 ///     placement, seeded incremental flat placement; the `cluster_method`
 ///     knob swaps in the Table-5 baselines (Leiden, plain multilevel FC) and
-///     the blob-placement comparator [9] (Louvain + seeded placement).
+///     the blob-placement comparator [9] (Louvain + seeded placement),
+///   * try_run_sharded_flow - the same clustered flow with region-sharded
+///     flat placement in place of the monolithic incremental pass.
+/// The two clustered flows share one driver; only the flat stage differs.
 ///
 /// Tool personalities (Alg. 1 lines 15-25): the OpenROAD-like flow scales IO
 /// net weights by 4 on the clustered netlist and runs incremental placement
 /// from cluster centers; the Innovus-like flow instead adds region (fence)
 /// constraints for V-P&R-shaped clusters during the incremental placement.
 ///
-/// evaluate_ppa routes the design, synthesizes the clock tree, and reports
-/// rWL / WNS / TNS / Power exactly as Tables 3-6 record them.
+/// try_evaluate_ppa routes the design, synthesizes the clock tree, and
+/// reports rWL / WNS / TNS / Power exactly as Tables 3-6 record them.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +47,6 @@ enum class ClusterMethod {
   kMfc,          ///< TritonPart's plain multilevel FC (Table 5 "MFC")
   kLeiden,       ///< Leiden communities as clusters (Table 5 "Leiden")
   kLouvainBlob,  ///< blob placement [9] (Table 2 comparator)
-  kBestChoice,   ///< Best-Choice [1] (extra related-work baseline)
-  kCutOverlay,   ///< cut-overlay [6]: FC solutions combined by intersection
 };
 
 enum class ShapeMode {
@@ -97,9 +98,9 @@ struct FlowOptions {
   /// placer failure to early stop, router failure to serial retries then
   /// partial routes, STA failure to HPWL-only cost. Disabling a policy
   /// turns that failure into a propagated FlowError from the try_* entry
-  /// points (the legacy entry points then assert).
+  /// points.
   fault::DegradePolicy degrade;
-  /// Region-sharded seeded placement (run_sharded_flow only): shard count
+  /// Region-sharded seeded placement (try_run_sharded_flow only): shard count
   /// and per-shard / stitch iteration budgets.
   place::ShardedOptions sharding;
   std::uint64_t seed = 3;
@@ -130,15 +131,25 @@ struct PpaOutcome {
 
 struct FlowResult {
   PlaceOutcome place;
-  PpaOutcome ppa;  ///< filled by run_*_with_ppa / evaluate_ppa
+  PpaOutcome ppa;  ///< filled by callers from try_evaluate_ppa
 };
+
+/// The flow entry points. Subsystem failures (injected through the fault
+/// sites or genuine) are either absorbed by the degradation policies in
+/// `options.degrade` — each absorption recorded via
+/// fault::record_degradation and surfaced in the JSON run report — or, when
+/// the policy forbids the fallback, returned as a structured FlowError.
+/// Callers that cannot recover call `.value()`, which aborts on an error in
+/// checked builds and throws std::bad_variant_access in release.
 
 /// Flat placement without clustering (the "Default" flow). Places the
 /// netlist's ports on the floorplan boundary as a side effect.
-FlowResult run_default_flow(netlist::Netlist& netlist, const FlowOptions& options);
+[[nodiscard]] fault::Expected<FlowResult, fault::FlowError> try_run_default_flow(
+    netlist::Netlist& netlist, const FlowOptions& options);
 
 /// The clustering-driven flow of Algorithm 1 (or a baseline variant).
-FlowResult run_clustered_flow(netlist::Netlist& netlist, const FlowOptions& options);
+[[nodiscard]] fault::Expected<FlowResult, fault::FlowError> try_run_clustered_flow(
+    netlist::Netlist& netlist, const FlowOptions& options);
 
 /// The clustered flow with region-sharded seeded placement: the top-level
 /// clusters are partitioned onto floorplan regions
@@ -148,25 +159,10 @@ FlowResult run_clustered_flow(netlist::Netlist& netlist, const FlowOptions& opti
 /// the shards. Bit-identical at any thread count for a fixed shard count; a
 /// failed shard falls back to its cluster-induced seed when
 /// `options.degrade.shard_fallback_seed`.
-FlowResult run_sharded_flow(netlist::Netlist& netlist, const FlowOptions& options);
-
-/// Routes, runs CTS, and measures post-route PPA for a placed design.
-PpaOutcome evaluate_ppa(const netlist::Netlist& netlist,
-                        const std::vector<geom::Point>& positions,
-                        const FlowOptions& options);
-
-/// Fallible forms of the flow entry points. Subsystem failures (injected
-/// through the fault sites or genuine) are either absorbed by the
-/// degradation policies in `options.degrade` — each absorption recorded via
-/// fault::record_degradation and surfaced in the JSON run report — or, when
-/// the policy forbids the fallback, returned as a structured FlowError.
-/// The legacy entry points above are thin asserting wrappers over these.
-[[nodiscard]] fault::Expected<FlowResult, fault::FlowError> try_run_default_flow(
-    netlist::Netlist& netlist, const FlowOptions& options);
-[[nodiscard]] fault::Expected<FlowResult, fault::FlowError> try_run_clustered_flow(
-    netlist::Netlist& netlist, const FlowOptions& options);
 [[nodiscard]] fault::Expected<FlowResult, fault::FlowError> try_run_sharded_flow(
     netlist::Netlist& netlist, const FlowOptions& options);
+
+/// Routes, runs CTS, and measures post-route PPA for a placed design.
 [[nodiscard]] fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
     const netlist::Netlist& netlist, const std::vector<geom::Point>& positions,
     const FlowOptions& options);

@@ -27,8 +27,6 @@ const char* to_string(ClusterMethod method) {
     case ClusterMethod::kMfc: return "mfc";
     case ClusterMethod::kLeiden: return "leiden";
     case ClusterMethod::kLouvainBlob: return "louvain_blob";
-    case ClusterMethod::kBestChoice: return "best_choice";
-    case ClusterMethod::kCutOverlay: return "cut_overlay";
   }
   return "?";
 }

@@ -108,11 +108,11 @@ FlowSnapshot run_at(int threads, const char* design, int cells, bool clustered,
   options.sharding.shards = shards;
 
   telemetry::metrics().reset();
-  const FlowResult result = shards > 0 ? run_sharded_flow(nl, options)
-                            : clustered ? run_clustered_flow(nl, options)
-                                        : run_default_flow(nl, options);
+  const FlowResult result = shards > 0 ? try_run_sharded_flow(nl, options).value()
+                            : clustered ? try_run_clustered_flow(nl, options).value()
+                                        : try_run_default_flow(nl, options).value();
   const PpaOutcome ppa =
-      evaluate_ppa(nl, result.place.positions, options);
+      try_evaluate_ppa(nl, result.place.positions, options).value();
 
   FlowSnapshot snap;
   snap.positions = result.place.positions;

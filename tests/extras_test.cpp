@@ -1,13 +1,11 @@
-/// Tests for Best-Choice clustering, Steiner refinement, the maze-routing
-/// fallback, the STA report, model serialization and the visualization
-/// exports.
+/// Tests for Steiner refinement, the maze-routing fallback, the STA report,
+/// model serialization and the visualization exports.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "cluster/best_choice.hpp"
 #include "flow/flow.hpp"
 #include "gen/designs.hpp"
 #include "gen/generator.hpp"
@@ -31,70 +29,6 @@ netlist::Netlist sample(int cells = 400, const char* name = "aes") {
   gen::DesignSpec spec = gen::design_spec(name);
   spec.target_cells = cells;
   return gen::generate(lib(), spec);
-}
-
-// --- Best Choice ---------------------------------------------------------------
-
-TEST(BestChoice, ReachesTarget) {
-  const netlist::Netlist nl = sample(500);
-  cluster::BestChoiceOptions options;
-  options.target_cluster_count = 20;
-  const cluster::BestChoiceResult result = cluster::best_choice_cluster(nl, options);
-  ASSERT_EQ(result.cluster_of_cell.size(), nl.cell_count());
-  EXPECT_GE(result.cluster_count, 20);
-  EXPECT_LE(result.cluster_count, 120);  // isolated vertices may remain
-  EXPECT_GT(result.merges, 0);
-}
-
-TEST(BestChoice, AreaCapRespected) {
-  const netlist::Netlist nl = sample(500);
-  cluster::BestChoiceOptions options;
-  options.target_cluster_count = 10;
-  options.max_cluster_area_factor = 1.5;
-  const cluster::BestChoiceResult result = cluster::best_choice_cluster(nl, options);
-  std::vector<double> area(static_cast<std::size_t>(result.cluster_count), 0.0);
-  for (std::size_t ci = 0; ci < nl.cell_count(); ++ci) {
-    area[static_cast<std::size_t>(result.cluster_of_cell[ci])] +=
-        nl.lib_cell_of(static_cast<netlist::CellId>(ci)).area_um2();
-  }
-  const double cap = 1.5 * nl.total_cell_area() / 10.0;
-  for (const double a : area) EXPECT_LE(a, cap + 1e-6);
-}
-
-TEST(BestChoice, MergesConnectedPairsFirst) {
-  // Two strongly connected cells plus one loner: the pair must merge.
-  netlist::Netlist nl(lib(), "t");
-  const auto inv = *lib().find("INV_X1");
-  const auto nand2 = *lib().find("NAND2_X1");
-  const auto a = nl.add_cell("a", inv, nl.root_module());
-  const auto b = nl.add_cell("b", nand2, nl.root_module());
-  const auto c = nl.add_cell("c", inv, nl.root_module());
-  const auto n1 = nl.add_net("n1");
-  nl.connect(n1, nl.cell_output_pin(a));
-  nl.connect(n1, nl.cell_pin(b, 0));
-  const auto n2 = nl.add_net("n2");
-  nl.connect(n2, nl.cell_output_pin(c));
-  nl.connect(n2, nl.cell_pin(b, 1));
-
-  cluster::BestChoiceOptions options;
-  options.target_cluster_count = 2;
-  const auto result = cluster::best_choice_cluster(nl, options);
-  EXPECT_EQ(result.cluster_count, 2);
-  // a-b weight == c-b weight; area decides: a(INV)+b vs c(INV)+b equal...
-  // so just require SOME pair merged and the result is a valid 2-clustering.
-  EXPECT_NE(result.cluster_of_cell[a.index()],
-            result.cluster_of_cell[c.index()]);
-}
-
-TEST(BestChoice, FlowIntegration) {
-  netlist::Netlist nl = sample(400);
-  flow::FlowOptions options;
-  options.clock_period_ps = 1100.0;
-  options.cluster_method = flow::ClusterMethod::kBestChoice;
-  options.vpr.min_cluster_instances = 1 << 20;
-  const flow::FlowResult result = flow::run_clustered_flow(nl, options);
-  EXPECT_GT(result.place.cluster_count, 1);
-  EXPECT_GT(result.place.hpwl_um, 0.0);
 }
 
 // --- Steiner refinement ----------------------------------------------------------
@@ -136,7 +70,7 @@ TEST(Router, MazeFallbackNotWorse) {
   flow::FlowOptions fo;
   fo.clock_period_ps = 1100.0;
   fo.vpr.min_cluster_instances = 1 << 20;
-  const flow::FlowResult placed = flow::run_default_flow(nl, fo);
+  const flow::FlowResult placed = flow::try_run_default_flow(nl, fo).value();
 
   geom::BBox box;
   for (const auto& p : placed.place.positions) box.expand(p);
@@ -146,9 +80,11 @@ TEST(Router, MazeFallbackNotWorse) {
   route::RouteOptions no_maze = tight;
   no_maze.maze_fallback = false;
   const auto with_maze =
-      route::GlobalRouter(nl, placed.place.positions, box.rect(), tight).run();
+      route::GlobalRouter(nl, placed.place.positions, box.rect(), tight)
+          .try_run(fault::DegradePolicy{}).value();
   const auto without =
-      route::GlobalRouter(nl, placed.place.positions, box.rect(), no_maze).run();
+      route::GlobalRouter(nl, placed.place.positions, box.rect(), no_maze)
+          .try_run(fault::DegradePolicy{}).value();
   // Greedy negotiation can tie or wobble slightly; the maze must stay in
   // the same ballpark or better and never blow up.
   EXPECT_LE(with_maze.total_overflow, without.total_overflow * 1.05 + 5.0);
@@ -160,16 +96,18 @@ TEST(Router, SteinerTopologyShortens) {
   flow::FlowOptions fo;
   fo.clock_period_ps = 1100.0;
   fo.vpr.min_cluster_instances = 1 << 20;
-  const flow::FlowResult placed = flow::run_default_flow(nl, fo);
+  const flow::FlowResult placed = flow::try_run_default_flow(nl, fo).value();
   geom::BBox box;
   for (const auto& p : placed.place.positions) box.expand(p);
   route::RouteOptions steiner;
   route::RouteOptions mst;
   mst.use_steiner_topology = false;
   const auto a =
-      route::GlobalRouter(nl, placed.place.positions, box.rect(), steiner).run();
+      route::GlobalRouter(nl, placed.place.positions, box.rect(), steiner)
+          .try_run(fault::DegradePolicy{}).value();
   const auto b =
-      route::GlobalRouter(nl, placed.place.positions, box.rect(), mst).run();
+      route::GlobalRouter(nl, placed.place.positions, box.rect(), mst)
+          .try_run(fault::DegradePolicy{}).value();
   EXPECT_LE(a.wirelength_um, b.wirelength_um * 1.01);
 }
 
@@ -264,7 +202,7 @@ TEST(Viz, PlacementSvgStructure) {
   flow::FlowOptions fo;
   fo.clock_period_ps = 1100.0;
   fo.vpr.min_cluster_instances = 1 << 20;
-  const flow::FlowResult placed = flow::run_default_flow(nl, fo);
+  const flow::FlowResult placed = flow::try_run_default_flow(nl, fo).value();
   geom::BBox box;
   for (const auto& p : placed.place.positions) box.expand(p);
 
@@ -288,12 +226,12 @@ TEST(Viz, CongestionPpmHeader) {
   flow::FlowOptions fo;
   fo.clock_period_ps = 1100.0;
   fo.vpr.min_cluster_instances = 1 << 20;
-  const flow::FlowResult placed = flow::run_default_flow(nl, fo);
+  const flow::FlowResult placed = flow::try_run_default_flow(nl, fo).value();
   geom::BBox box;
   for (const auto& p : placed.place.positions) box.expand(p);
   const auto routed = route::GlobalRouter(nl, placed.place.positions, box.rect(),
                                           route::RouteOptions{})
-                          .run();
+                          .try_run(fault::DegradePolicy{}).value();
   std::ostringstream out;
   viz::write_congestion_ppm(routed, out);
   const std::string ppm = out.str();

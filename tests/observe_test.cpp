@@ -248,8 +248,8 @@ FlowStream record_flow_at(int threads) {
 
   telemetry::metrics().reset();
   recorder().reset();
-  const flow::FlowResult result = flow::run_sharded_flow(nl, options);
-  (void)flow::evaluate_ppa(nl, result.place.positions, options);
+  const flow::FlowResult result = flow::try_run_sharded_flow(nl, options).value();
+  (void)flow::try_evaluate_ppa(nl, result.place.positions, options).value();
 
   FlowStream stream;
   stream.samples = recorder().merged_samples();

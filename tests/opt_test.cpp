@@ -27,7 +27,7 @@ struct PlacedDesign {
     flow::FlowOptions options;
     options.clock_period_ps = clock_ps;
     options.vpr.min_cluster_instances = 1 << 20;
-    const flow::FlowResult result = flow::run_default_flow(*nl, options);
+    const flow::FlowResult result = flow::try_run_default_flow(*nl, options).value();
     positions = result.place.positions;
   }
   std::optional<Netlist> nl;

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <variant>
 
 #include "cluster/community.hpp"
 #include "fault/fault.hpp"
@@ -262,7 +263,8 @@ TEST(RouteProperty, UtilizationsNonNegativeAndConsistent) {
   const auto gp = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
   const auto positions = place::cell_positions(nl, gp.placement);
   const auto result =
-      route::GlobalRouter(nl, positions, fp.core, route::RouteOptions{}).run();
+      route::GlobalRouter(nl, positions, fp.core, route::RouteOptions{})
+          .try_run(fault::DegradePolicy{}).value();
   double max_seen = 0.0;
   for (const double u : result.edge_utilization) {
     EXPECT_GE(u, 0.0);
@@ -489,6 +491,19 @@ TEST(ExpectedProperty, VoidExpectedChains) {
   EXPECT_FALSE(ran);
   ASSERT_FALSE(after.has_value());
   EXPECT_EQ(after.error().code, "sta-arrival-failed");
+}
+
+TEST(ExpectedProperty, ValueOnErrorNamesTheCodeAndDoesNotReturn) {
+  // value() is how callers that cannot recover unwrap a try_* result: it logs
+  // the error code, then aborts in checked builds and throws
+  // std::bad_variant_access in release.
+  const Expected<int, FlowError> bad =
+      fault::err("route-maze-timeout", "route.maze", "injected");
+#if PPACD_CHECK_ABORTS_
+  EXPECT_DEATH((void)bad.value(), "route-maze-timeout");
+#else
+  EXPECT_THROW((void)bad.value(), std::bad_variant_access);
+#endif
 }
 
 // =============================================================================

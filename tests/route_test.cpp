@@ -77,7 +77,7 @@ struct RoutedDesign {
 TEST(GlobalRouter, RoutedWirelengthAtLeastGridHpwl) {
   RoutedDesign d;
   GlobalRouter router(d.nl, d.positions, d.fp.core, RouteOptions{});
-  const RouteResult result = router.run();
+  const RouteResult result = router.try_run(fault::DegradePolicy{}).value();
   EXPECT_GT(result.wirelength_um, 0.0);
   EXPECT_GT(result.grid_nx, 1);
   EXPECT_GT(result.grid_ny, 1);
@@ -91,7 +91,7 @@ TEST(GlobalRouter, RoutedWirelengthAtLeastGridHpwl) {
 TEST(GlobalRouter, UtilizationsExposedForEquation5) {
   RoutedDesign d;
   GlobalRouter router(d.nl, d.positions, d.fp.core, RouteOptions{});
-  const RouteResult result = router.run();
+  const RouteResult result = router.try_run(fault::DegradePolicy{}).value();
   ASSERT_FALSE(result.edge_utilization.empty());
   // Top-1% congestion >= top-50% congestion >= 0.
   const double top1 = result.top_congestion(1.0);
@@ -110,9 +110,12 @@ TEST(GlobalRouter, RerouteReducesOverflow) {
   tight.v_capacity = 6;
   RouteOptions no_rrr = tight;
   no_rrr.rrr_rounds = 0;
-  const RouteResult base = GlobalRouter(d.nl, d.positions, d.fp.core, no_rrr).run();
+  const RouteResult base =
+      GlobalRouter(d.nl, d.positions, d.fp.core, no_rrr)
+          .try_run(fault::DegradePolicy{}).value();
   const RouteResult improved =
-      GlobalRouter(d.nl, d.positions, d.fp.core, tight).run();
+      GlobalRouter(d.nl, d.positions, d.fp.core, tight)
+          .try_run(fault::DegradePolicy{}).value();
   EXPECT_LT(improved.total_overflow, base.total_overflow);
 }
 
@@ -120,8 +123,12 @@ TEST(GlobalRouter, ClockNetSkippedByDefault) {
   RoutedDesign d;
   RouteOptions with_clock;
   with_clock.route_clock_nets = true;
-  const RouteResult without = GlobalRouter(d.nl, d.positions, d.fp.core, RouteOptions{}).run();
-  const RouteResult with = GlobalRouter(d.nl, d.positions, d.fp.core, with_clock).run();
+  const RouteResult without =
+      GlobalRouter(d.nl, d.positions, d.fp.core, RouteOptions{})
+          .try_run(fault::DegradePolicy{}).value();
+  const RouteResult with =
+      GlobalRouter(d.nl, d.positions, d.fp.core, with_clock)
+          .try_run(fault::DegradePolicy{}).value();
   EXPECT_GT(with.wirelength_um, without.wirelength_um);
 }
 
@@ -135,8 +142,12 @@ TEST(GlobalRouter, SpreadPlacementRoutesLonger) {
     p = {rng.uniform(d.fp.core.lx, d.fp.core.ux),
          rng.uniform(d.fp.core.ly, d.fp.core.uy)};
   }
-  const RouteResult good = GlobalRouter(d.nl, d.positions, d.fp.core, RouteOptions{}).run();
-  const RouteResult bad = GlobalRouter(d.nl, random, d.fp.core, RouteOptions{}).run();
+  const RouteResult good =
+      GlobalRouter(d.nl, d.positions, d.fp.core, RouteOptions{})
+          .try_run(fault::DegradePolicy{}).value();
+  const RouteResult bad =
+      GlobalRouter(d.nl, random, d.fp.core, RouteOptions{})
+          .try_run(fault::DegradePolicy{}).value();
   EXPECT_LT(good.wirelength_um, bad.wirelength_um);
 }
 
