@@ -51,7 +51,10 @@ struct Fixture {
                                   bench::library().row_height_um(), fpo);
     place::place_ports_on_boundary(nl, fp);
     model = place::make_place_model(nl, fp);
-    const auto gp = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
+    const auto gp =
+        place::GlobalPlacer(model, place::GlobalPlacerOptions{})
+            .try_run(fault::DegradePolicy{})
+            .value();
     const auto lg = place::legalize(model, gp.placement);
     positions = place::cell_positions(nl, lg.placement);
   }
@@ -93,7 +96,8 @@ void BM_GlobalPlacement(benchmark::State& state) {
   AllocCounters allocs(state);
   for (auto _ : state) {
     place::GlobalPlacer placer(f.model, place::GlobalPlacerOptions{});
-    benchmark::DoNotOptimize(placer.run().hpwl_um);
+    benchmark::DoNotOptimize(
+        placer.try_run(fault::DegradePolicy{}).value().hpwl_um);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(f.nl.cell_count()));
@@ -103,10 +107,13 @@ BENCHMARK(BM_GlobalPlacement)->Unit(benchmark::kMillisecond);
 void BM_IncrementalPlacement(benchmark::State& state) {
   Fixture& f = fixture();
   place::GlobalPlacer placer(f.model, place::GlobalPlacerOptions{});
-  const auto seed = placer.run().placement;
+  const auto seed = placer.try_run(fault::DegradePolicy{}).value().placement;
   AllocCounters allocs(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(placer.run_incremental(seed).hpwl_um);
+    benchmark::DoNotOptimize(
+        placer.try_run_incremental(seed, fault::DegradePolicy{})
+            .value()
+            .hpwl_um);
   }
 }
 BENCHMARK(BM_IncrementalPlacement)->Unit(benchmark::kMillisecond);
@@ -130,7 +137,7 @@ void BM_Sta(benchmark::State& state) {
   AllocCounters allocs(state);
   for (auto _ : state) {
     sta::Sta sta(f.nl, options);
-    sta.run();
+    sta.try_run().value();
     benchmark::DoNotOptimize(sta.tns_ns());
   }
 }

@@ -46,7 +46,8 @@ int main() {
       const cluster::Cluster& c = clustered.clusters[order[static_cast<std::size_t>(k)]];
       const netlist::SubNetlist sub = netlist::extract_subnetlist(nl, c.cells);
 
-      const vpr::VprResult rect = vpr::run_vpr(sub.netlist, options);
+      const vpr::VprResult rect =
+          vpr::try_run_vpr(sub.netlist, options).value();
       const cluster::ClusterShape base = rect.best().shape;
       double best_l = 1e18;
       double l_costs[3];

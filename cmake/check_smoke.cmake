@@ -5,9 +5,11 @@
 # zero violations, and (c) the JSON run report carries the per-checker
 # "checks" section with every phase validator present. It also asserts that
 # every malformed flag value is a usage error (exit 2 with the usage text)
-# raised before any flow runs.
+# raised before any flow runs, and that an STA error in --report-paths exits
+# 3 like any other unabsorbed flow error.
 #
 # Inputs: -DFLOW_CLI=<path to flow_cli> -DWORK_DIR=<writable directory>
+#         -DPPACD_TELEMETRY=ON|OFF (OFF skips (c): no report is written)
 
 if(NOT DEFINED FLOW_CLI OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "check_smoke: FLOW_CLI and WORK_DIR must be defined")
@@ -37,6 +39,22 @@ foreach(usage_case IN LISTS usage_cases)
   endif()
 endforeach()
 
+# --report-paths runs its own STA after the flow; a failure there is an
+# unabsorbed flow error (exit 3). The default flow with --place-only runs no
+# other STA, so the plan reaches only that call.
+execute_process(
+  COMMAND "${FLOW_CLI}" --design aes --cells 200 --flow default --place-only
+          --report-paths 1 --fault-plan "seed=1;sta.arrival=error"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+string(FIND "${err}" "sta-arrival-failed" pos)
+if(NOT rc EQUAL 3 OR pos EQUAL -1)
+  message(FATAL_ERROR
+          "--report-paths under sta.arrival=error: want exit 3 naming "
+          "sta-arrival-failed, got ${rc}:\n${out}\n${err}")
+endif()
+
 set(report "${WORK_DIR}/check_smoke_report.json")
 
 execute_process(
@@ -52,6 +70,11 @@ endif()
 string(FIND "${out}" "check violations: 0 (full level)" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "expected a zero-violation check summary, got:\n${out}")
+endif()
+
+if(DEFINED PPACD_TELEMETRY AND NOT PPACD_TELEMETRY)
+  message(STATUS "check smoke OK (telemetry compiled out: report not checked)")
+  return()
 endif()
 
 file(READ "${report}" report_text)

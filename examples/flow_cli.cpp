@@ -467,7 +467,12 @@ int main(int argc, char** argv) {
     sta_options.clock_period_ps = options.clock_period_ps;
     sta_options.cell_positions = &result.place.positions;
     sta::Sta sta(*design, sta_options);
-    sta.run();
+    if (auto timed = sta.try_run(); !timed.has_value()) {
+      const fault::FlowError& error = timed.error();
+      std::fprintf(stderr, "flow error: %s at %s: %s\n", error.code.c_str(),
+                   error.site.c_str(), error.message.c_str());
+      return 3;
+    }
     std::printf("\n%s\n%s",
                 sta::report_summary(*design, sta).c_str(),
                 sta::report_checks(*design, sta,

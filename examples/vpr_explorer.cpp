@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
               sub.boundary_net_count, sub.netlist.port_count());
 
   const vpr::VprOptions options;
-  const vpr::VprResult result = vpr::run_vpr(sub.netlist, options);
+  const vpr::VprResult result = vpr::try_run_vpr(sub.netlist, options).value();
   std::printf("%-6s %-6s %-12s %-12s %-10s\n", "AR", "util", "Cost_HPWL",
               "Cost_Cong", "TotalCost");
   for (std::size_t i = 0; i < result.candidates.size(); ++i) {

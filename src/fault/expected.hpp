@@ -171,6 +171,12 @@ class [[nodiscard]] Expected<void, E> {
   bool has_value() const { return !error_.has_value(); }
   explicit operator bool() const { return has_value(); }
 
+  /// Unwraps a success; same checking policy as Expected<T>::value().
+  void value() const {
+    PPACD_CHECK(has_value(), "Expected::value() on error: " << error_->code);
+    if (!has_value()) throw std::bad_variant_access();
+  }
+
   const E& error() const& {
     PPACD_DCHECK(!has_value(), "Expected<void>::error() on value");
     return *error_;

@@ -194,16 +194,26 @@ fault::Expected<void, fault::FlowError> apply_shapes(
 
 /// Optional repair stage: buffer high-fanout nets, upsize critical drivers,
 /// then re-legalize the enlarged netlist (buffers were dropped at group
-/// centroids). Updates positions and HPWL in `result`.
-void run_timing_optimization(netlist::Netlist& nl, const place::Floorplan& fp,
-                             const FlowOptions& options, FlowResult& result) {
+/// centroids). Updates positions and HPWL in `result`. An STA failure in
+/// sizing keeps the netlist as sized so far under
+/// `degrade.sta_fallback_hpwl` and is returned otherwise.
+fault::Expected<void, fault::FlowError> run_timing_optimization(
+    netlist::Netlist& nl, const place::Floorplan& fp, const FlowOptions& options,
+    FlowResult& result) {
   PPACD_SPAN(span, "flow.timing_opt");
   span.anchor();
   opt::BufferingOptions buffering;
   opt::buffer_high_fanout(nl, result.place.positions, buffering);
   opt::SizingOptions sizing;
   sizing.clock_period_ps = options.clock_period_ps;
-  opt::resize_critical_cells(nl, result.place.positions, sizing);
+  auto sized = opt::resize_critical_cells(nl, result.place.positions, sizing);
+  if (!sized.has_value()) {
+    if (!options.degrade.sta_fallback_hpwl) {
+      return fault::Unexpected<fault::FlowError>(std::move(sized).error());
+    }
+    fault::record_degradation({"sta.arrival", sized.error().code, "hpwl-only",
+                               "gate sizing stopped"});
+  }
 
   const place::PlaceModel model = place::make_place_model(nl, fp);
   place::Placement placement(model.objects.size());
@@ -224,6 +234,7 @@ void run_timing_optimization(netlist::Netlist& nl, const place::Floorplan& fp,
   run_check(options, [&](check::CheckLevel level) {
     return check::check_placement(model, legal.placement, level);
   });
+  return {};
 }
 
 /// `options.placer` with the flow seed and per-iteration tracing: the
@@ -250,14 +261,14 @@ place::Placement legalize_and_refine(const place::PlaceModel& model,
 
 /// Records the legalized cell positions and their HPWL in `result`, then
 /// runs the optional timing-optimization stage.
-void finish_placement(netlist::Netlist& nl, const place::Floorplan& fp,
-                      const place::Placement& legal, const FlowOptions& options,
-                      FlowResult& result) {
+fault::Expected<void, fault::FlowError> finish_placement(
+    netlist::Netlist& nl, const place::Floorplan& fp,
+    const place::Placement& legal, const FlowOptions& options,
+    FlowResult& result) {
   result.place.positions = place::cell_positions(nl, legal);
   result.place.hpwl_um = place::netlist_hpwl(nl, result.place.positions);
-  if (options.timing_optimization) {
-    run_timing_optimization(nl, fp, options, result);
-  }
+  if (!options.timing_optimization) return {};
+  return run_timing_optimization(nl, fp, options, result);
 }
 
 /// The flat-placement stage of the clustered flow. The public entry point
@@ -477,7 +488,10 @@ fault::Expected<FlowResult, fault::FlowError> run_clustered(
   PPACD_SPAN_ATTR(flat_span, "overflow", flat.overflow);
   }  // placement scope (seed + flat stage)
 
-  finish_placement(nl, fp, legal, options, result);
+  auto finished = finish_placement(nl, fp, legal, options, result);
+  if (!finished.has_value()) {
+    return fault::Unexpected<fault::FlowError>(std::move(finished).error());
+  }
   if (sharded) {
     PPACD_LOG_INFO("flow") << nl.name() << ": sharded flow, "
                            << result.place.cluster_count << " clusters, "
@@ -525,7 +539,10 @@ fault::Expected<FlowResult, fault::FlowError> try_run_default_flow(
   run_check(options, [&](check::CheckLevel level) {
     return check::check_placement(model, legal, level);
   });
-  finish_placement(nl, fp, legal, options, result);
+  auto finished = finish_placement(nl, fp, legal, options, result);
+  if (!finished.has_value()) {
+    return fault::Unexpected<fault::FlowError>(std::move(finished).error());
+  }
   return result;
 }
 

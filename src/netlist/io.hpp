@@ -3,7 +3,7 @@
 ///
 /// The paper's flow reads .v/.def; this module provides the equivalent
 /// surface for this library:
-///   * write_verilog / read_verilog: gate-level structural Verilog over the
+///   * write_verilog / try_read_verilog: gate-level structural Verilog over the
 ///     library's cells. The subset covers what the writer emits -- one
 ///     module, `input/output/wire` declarations, and named-connection
 ///     instantiations. Hierarchy is encoded in escaped instance names
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,23 +27,11 @@ namespace ppacd::netlist {
 /// after the netlist net; ports keep their names.
 void write_verilog(const Netlist& netlist, std::ostream& out);
 
-/// Parse errors carry a line number and message.
-struct ParseError {
-  int line = 0;
-  std::string message;
-};
-
-/// Reads the structural-Verilog subset produced by write_verilog. Returns
-/// nullopt and fills `error` (if non-null) on malformed input. Instance
-/// names containing '/' re-create the module hierarchy.
-std::optional<Netlist> read_verilog(std::istream& in,
-                                    const liberty::Library& library,
-                                    ParseError* error = nullptr);
-
-/// Structured-error form of read_verilog, and the `io.read` fault site.
-/// Parse failures map to `io-parse-failed` (line number in the message);
-/// injected faults map to `io-read-failed` / `io-read-timeout` /
-/// `non-finite-result` / `alloc-failure`.
+/// Reads the structural-Verilog subset produced by write_verilog. Instance
+/// names containing '/' re-create the module hierarchy. Malformed input
+/// maps to `io-parse-failed` with "line N: ..." in the message; the `io.read`
+/// fault site's injected faults map to `io-read-failed` / `io-read-timeout`
+/// / `non-finite-result` / `alloc-failure`.
 [[nodiscard]] fault::Expected<Netlist, fault::FlowError> try_read_verilog(
     std::istream& in, const liberty::Library& library);
 
@@ -61,9 +48,10 @@ void write_placement_def(const Netlist& netlist,
 
 /// Reads a placement written by write_placement_def back into positions
 /// (indexed by CellId, matched by cell name). Cells missing from the file
-/// keep (0,0). Returns false on malformed input or unknown cells.
+/// keep (0,0). Returns false on malformed input or unknown cells, with
+/// "line N: ..." in `error` (if non-null).
 bool read_placement_def(std::istream& in, const Netlist& netlist,
                         std::vector<geom::Point>* positions,
-                        ParseError* error = nullptr);
+                        std::string* error = nullptr);
 
 }  // namespace ppacd::netlist

@@ -35,9 +35,9 @@ std::unordered_map<liberty::LibCellId, liberty::LibCellId> upgrade_map(
 
 }  // namespace
 
-SizingResult resize_critical_cells(Netlist& nl,
-                                   const std::vector<geom::Point>& positions,
-                                   const SizingOptions& options) {
+fault::Expected<SizingResult, fault::FlowError> resize_critical_cells(
+    Netlist& nl, const std::vector<geom::Point>& positions,
+    const SizingOptions& options) {
   SizingResult result;
   const liberty::Library& lib = nl.library();
   const auto upgrades = upgrade_map(lib);
@@ -47,7 +47,9 @@ SizingResult resize_critical_cells(Netlist& nl,
     sta_options.clock_period_ps = options.clock_period_ps;
     if (!positions.empty()) sta_options.cell_positions = &positions;
     sta::Sta sta(nl, sta_options);
-    sta.run();
+    if (auto timed = sta.try_run(); !timed.has_value()) {
+      return fault::Unexpected<fault::FlowError>(std::move(timed).error());
+    }
     if (round == 0) {
       result.wns_before_ps = sta.wns_ps();
       result.tns_before_ns = sta.tns_ns();
@@ -107,7 +109,9 @@ SizingResult resize_critical_cells(Netlist& nl,
     sta_options.clock_period_ps = options.clock_period_ps;
     if (!positions.empty()) sta_options.cell_positions = &positions;
     sta::Sta sta(nl, sta_options);
-    sta.run();
+    if (auto timed = sta.try_run(); !timed.has_value()) {
+      return fault::Unexpected<fault::FlowError>(std::move(timed).error());
+    }
     result.wns_after_ps = sta.wns_ps();
     result.tns_after_ns = sta.tns_ns();
   }

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "fault/expected.hpp"
 #include "geom/geometry.hpp"
 #include "netlist/netlist.hpp"
 
@@ -35,9 +36,10 @@ struct SizingResult {
 
 /// Upsizes drivers on violating paths. `positions` is used for the wire
 /// load model (may be empty for ideal wires... pass the placed positions
-/// for meaningful results).
-SizingResult resize_critical_cells(netlist::Netlist& netlist,
-                                   const std::vector<geom::Point>& positions,
-                                   const SizingOptions& options);
+/// for meaningful results). An STA failure returns its error; the swaps
+/// made before it stay in `netlist`.
+[[nodiscard]] fault::Expected<SizingResult, fault::FlowError> resize_critical_cells(
+    netlist::Netlist& netlist, const std::vector<geom::Point>& positions,
+    const SizingOptions& options);
 
 }  // namespace ppacd::opt

@@ -919,46 +919,21 @@ PlaceResult GlobalPlacer::optimize(Placement positions, int iterations,
   return result;
 }
 
-PlaceResult GlobalPlacer::run() {
-  const PlaceModel& model = *model_;
-  Placement positions(model.objects.size());
-  util::Rng rng(options_.seed);
-  const geom::Point center = model.core.center();
-  const double jitter_x = model.core.width() * 0.05;
-  const double jitter_y = model.core.height() * 0.05;
-  for (std::size_t i = 0; i < model.objects.size(); ++i) {
-    if (model.objects[i].fixed || model.objects[i].blockage) {
-      positions[i] = model.objects[i].fixed_position;
-    } else if (model.objects[i].region.has_value()) {
-      positions[i] = model.objects[i].region->center();
-    } else {
-      positions[i] = {center.x + rng.uniform(-jitter_x, jitter_x),
-                      center.y + rng.uniform(-jitter_y, jitter_y)};
-    }
-  }
-  return optimize(std::move(positions), options_.max_iterations, nullptr);
-}
-
-PlaceResult GlobalPlacer::run_incremental(const Placement& seed) {
-  PPACD_CHECK(seed.size() == model_->objects.size(),
-              "incremental seed covers " << seed.size() << " of "
-                                          << model_->objects.size() << " objects");
-  Placement positions = seed;
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (model_->objects[i].fixed || model_->objects[i].blockage) {
-      positions[i] = model_->objects[i].fixed_position;
-    }
-  }
-  clamp_to_core_and_regions(positions);
-  const Placement seed_anchor = positions;
-  return optimize(std::move(positions), options_.incremental_iterations,
-                  &seed_anchor);
-}
-
 namespace {
 
-fault::Expected<PlaceResult, fault::FlowError> finish_try_run(
-    PlaceResult result, const fault::DegradePolicy& policy) {
+/// Runs one placement solve with the try_* contract: allocation failure
+/// becomes a structured `alloc-failure` error, and an early stop is an
+/// error unless `policy.place_early_stop`.
+template <typename Solve>
+fault::Expected<PlaceResult, fault::FlowError> guarded_solve(
+    Solve&& solve, const fault::DegradePolicy& policy) {
+  PlaceResult result;
+  try {
+    result = solve();
+  } catch (const std::bad_alloc&) {
+    return fault::Unexpected<fault::FlowError>(
+        fault::make_error("place.solve", fault::FaultKind::kAlloc));
+  }
   if (!result.degrade_code.empty() && !policy.place_early_stop) {
     return fault::err(result.degrade_code, "place.solve",
                       "placer stopped early and early-stop is disabled");
@@ -970,22 +945,48 @@ fault::Expected<PlaceResult, fault::FlowError> finish_try_run(
 
 fault::Expected<PlaceResult, fault::FlowError> GlobalPlacer::try_run(
     const fault::DegradePolicy& policy) {
-  try {
-    return finish_try_run(run(), policy);
-  } catch (const std::bad_alloc&) {
-    return fault::Unexpected<fault::FlowError>(
-        fault::make_error("place.solve", fault::FaultKind::kAlloc));
-  }
+  return guarded_solve(
+      [&] {
+        const PlaceModel& model = *model_;
+        Placement positions(model.objects.size());
+        util::Rng rng(options_.seed);
+        const geom::Point center = model.core.center();
+        const double jitter_x = model.core.width() * 0.05;
+        const double jitter_y = model.core.height() * 0.05;
+        for (std::size_t i = 0; i < model.objects.size(); ++i) {
+          if (model.objects[i].fixed || model.objects[i].blockage) {
+            positions[i] = model.objects[i].fixed_position;
+          } else if (model.objects[i].region.has_value()) {
+            positions[i] = model.objects[i].region->center();
+          } else {
+            positions[i] = {center.x + rng.uniform(-jitter_x, jitter_x),
+                            center.y + rng.uniform(-jitter_y, jitter_y)};
+          }
+        }
+        return optimize(std::move(positions), options_.max_iterations, nullptr);
+      },
+      policy);
 }
 
 fault::Expected<PlaceResult, fault::FlowError> GlobalPlacer::try_run_incremental(
     const Placement& seed, const fault::DegradePolicy& policy) {
-  try {
-    return finish_try_run(run_incremental(seed), policy);
-  } catch (const std::bad_alloc&) {
-    return fault::Unexpected<fault::FlowError>(
-        fault::make_error("place.solve", fault::FaultKind::kAlloc));
-  }
+  PPACD_CHECK(seed.size() == model_->objects.size(),
+              "incremental seed covers " << seed.size() << " of "
+                                          << model_->objects.size() << " objects");
+  return guarded_solve(
+      [&] {
+        Placement positions = seed;
+        for (std::size_t i = 0; i < positions.size(); ++i) {
+          if (model_->objects[i].fixed || model_->objects[i].blockage) {
+            positions[i] = model_->objects[i].fixed_position;
+          }
+        }
+        clamp_to_core_and_regions(positions);
+        const Placement seed_anchor = positions;
+        return optimize(std::move(positions), options_.incremental_iterations,
+                        &seed_anchor);
+      },
+      policy);
 }
 
 }  // namespace ppacd::place

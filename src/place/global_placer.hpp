@@ -3,9 +3,9 @@
 /// FastPlace-style cell-shifting spreading (RePlAce/OpenROAD substitute).
 ///
 /// The engine provides the two entry points Algorithm 1 needs:
-///   * run(): placement from scratch (default flat flow, cluster seed
+///   * try_run(): placement from scratch (default flat flow, cluster seed
 ///     placement),
-///   * run_incremental(seed): continue from given locations with anchoring,
+///   * try_run_incremental(seed): continue from given locations with anchoring,
 ///     mirroring `globalPlacement -incremental` / `place_design -incremental`
 ///     in the seeded placement step (Alg. 1 lines 19/25).
 ///
@@ -92,19 +92,16 @@ class GlobalPlacer {
   GlobalPlacer(const PlaceModel& model, const GlobalPlacerOptions& options);
   ~GlobalPlacer();
 
-  /// Global placement from scratch.
-  PlaceResult run();
-
-  /// Incremental placement from `seed` (e.g. cluster-center-induced
-  /// locations). `seed` must cover all objects; fixed objects keep their
-  /// fixed positions regardless.
-  PlaceResult run_incremental(const Placement& seed);
-
-  /// Fallible forms of run()/run_incremental(): allocation failure becomes
-  /// a structured `alloc-failure` error, and a mid-run `place.solve`
-  /// failure either stops early with the best placement so far (recorded in
-  /// PlaceResult::degrade_code) when `policy.place_early_stop`, or is
-  /// returned as the FlowError itself when the policy forbids degradation.
+  /// Global placement from scratch (try_run) and incremental placement from
+  /// `seed` (try_run_incremental; e.g. cluster-center-induced locations).
+  /// `seed` must cover all objects; fixed objects keep their fixed
+  /// positions regardless.
+  ///
+  /// Allocation failure becomes a structured `alloc-failure` error, and a
+  /// mid-run `place.solve` failure either stops early with the best
+  /// placement so far (recorded in PlaceResult::degrade_code) when
+  /// `policy.place_early_stop`, or is returned as the FlowError itself when
+  /// the policy forbids degradation.
   [[nodiscard]] fault::Expected<PlaceResult, fault::FlowError> try_run(
       const fault::DegradePolicy& policy);
   [[nodiscard]] fault::Expected<PlaceResult, fault::FlowError> try_run_incremental(

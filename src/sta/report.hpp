@@ -13,7 +13,7 @@ std::string pin_name(const netlist::Netlist& netlist, netlist::PinId pin);
 
 /// OpenSTA-style per-path report for the `max_paths` worst endpoints:
 /// startpoint, endpoint, pin-by-pin arrival trace, required time and slack.
-/// `sta.run()` must have been called.
+/// `sta.try_run()` must have succeeded.
 std::string report_checks(const netlist::Netlist& netlist, const Sta& sta,
                           std::size_t max_paths = 3);
 

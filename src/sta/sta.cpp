@@ -334,89 +334,71 @@ void Sta::propagate_requireds() {
   }
 }
 
-void Sta::run() {
-  build_graph();
-  propagate_arrivals();
-  propagate_requireds();
-  ran_ = true;
-  if (options_.observe_stream && observe::active()) {
-    // End-of-run endpoint slack histogram. Unconstrained endpoints (slack
-    // +inf) are excluded; the frame layout is [lo_ps, hi_ps, count_0..n-1].
-    std::vector<double> slacks;
-    slacks.reserve(endpoints_.size());
-    for (const netlist::PinId pid : endpoints_) {
-      const double s = slack_ps(pid);
-      if (std::isfinite(s)) slacks.push_back(s);
-    }
-    constexpr int kSlackBins = 32;
-    std::vector<double> frame(2 + kSlackBins, 0.0);
-    if (!slacks.empty()) {
-      double lo = slacks[0];
-      double hi = slacks[0];
-      for (const double s : slacks) {
-        lo = std::min(lo, s);
-        hi = std::max(hi, s);
+fault::Expected<void, fault::FlowError> Sta::try_run() {
+  // Fault site `sta.arrival`. Poison lets the propagation finish, then
+  // corrupts WNS/TNS so the non-finite check below turns them into a
+  // structured error; every other kind fails before propagation.
+  const auto fault_kind = fault::trigger("sta.arrival");
+  ran_ = false;
+  if (fault_kind.has_value() && *fault_kind != fault::FaultKind::kPoison) {
+    return fault::Unexpected<fault::FlowError>(
+        fault::make_error("sta.arrival", *fault_kind));
+  }
+  try {
+    build_graph();
+    propagate_arrivals();
+    propagate_requireds();
+    if (options_.observe_stream && observe::active()) {
+      // End-of-run endpoint slack histogram. Unconstrained endpoints (slack
+      // +inf) are excluded; the frame layout is [lo_ps, hi_ps, count_0..n-1].
+      std::vector<double> slacks;
+      slacks.reserve(endpoints_.size());
+      for (const netlist::PinId pid : endpoints_) {
+        const double s = slack_ps(pid);
+        if (std::isfinite(s)) slacks.push_back(s);
       }
-      if (hi <= lo) hi = lo + 1.0;  // degenerate: all slacks identical
-      frame[0] = lo;
-      frame[1] = hi;
-      for (const double s : slacks) {
-        const int bin = std::min(
-            kSlackBins - 1,
-            static_cast<int>((s - lo) / (hi - lo) * kSlackBins));
-        frame[static_cast<std::size_t>(2 + bin)] += 1.0;
+      constexpr int kSlackBins = 32;
+      std::vector<double> frame(2 + kSlackBins, 0.0);
+      if (!slacks.empty()) {
+        double lo = slacks[0];
+        double hi = slacks[0];
+        for (const double s : slacks) {
+          lo = std::min(lo, s);
+          hi = std::max(hi, s);
+        }
+        if (hi <= lo) hi = lo + 1.0;  // degenerate: all slacks identical
+        frame[0] = lo;
+        frame[1] = hi;
+        for (const double s : slacks) {
+          const int bin = std::min(
+              kSlackBins - 1,
+              static_cast<int>((s - lo) / (hi - lo) * kSlackBins));
+          frame[static_cast<std::size_t>(2 + bin)] += 1.0;
+        }
       }
+      const std::int32_t series =
+          observe::recorder().begin_series(observe::Stream::kStaSlack);
+      observe::recorder().record_frame(observe::Stream::kStaSlack, series, 0,
+                                       kSlackBins, 0, std::move(frame));
     }
-    const std::int32_t series =
-        observe::recorder().begin_series(observe::Stream::kStaSlack);
-    observe::recorder().record_frame(observe::Stream::kStaSlack, series, 0,
-                                     kSlackBins, 0, std::move(frame));
+  } catch (const std::bad_alloc&) {
+    return fault::Unexpected<fault::FlowError>(
+        fault::make_error("sta.arrival", fault::FaultKind::kAlloc));
   }
   PPACD_COUNT("sta.runs", 1);
   PPACD_GAUGE_SET("sta.wns_ps", wns_ps_);
   PPACD_GAUGE_SET("sta.tns_ns", tns_ns_);
   PPACD_LOG_DEBUG("sta") << nl_->name() << ": WNS " << wns_ps_ << " ps, TNS "
                          << tns_ns_ << " ns";
-}
-
-fault::Expected<void, fault::FlowError> Sta::try_run() {
-  if (const auto kind = fault::trigger("sta.arrival")) {
-    switch (*kind) {
-      case fault::FaultKind::kPoison:
-        // Poison the propagated metrics, then let the non-finite check
-        // below turn them into a structured error.
-        run();
-        wns_ps_ = fault::poison_value();
-        tns_ns_ = fault::poison_value();
-        break;
-      case fault::FaultKind::kAlloc:
-        // Exercise the real catch path below.
-        try {
-          throw std::bad_alloc();
-        } catch (const std::bad_alloc&) {
-          ran_ = false;
-          return fault::Unexpected<fault::FlowError>(
-              fault::make_error("sta.arrival", *kind));
-        }
-      default:
-        ran_ = false;
-        return fault::Unexpected<fault::FlowError>(
-            fault::make_error("sta.arrival", *kind));
-    }
-  } else {
-    try {
-      run();
-    } catch (const std::bad_alloc&) {
-      ran_ = false;
-      return fault::Unexpected<fault::FlowError>(
-          fault::make_error("sta.arrival", fault::FaultKind::kAlloc));
-    }
+  if (fault_kind.has_value()) {
+    wns_ps_ = fault::poison_value();
+    tns_ns_ = fault::poison_value();
   }
   if (!std::isfinite(wns_ps_) || !std::isfinite(tns_ns_)) {
-    ran_ = false;
     return fault::err("non-finite-result", "sta.arrival",
                       "propagated WNS/TNS is not finite");
   }
+  ran_ = true;
   return {};
 }
 

@@ -116,7 +116,13 @@ ShapeCandidate score_virtual_die(netlist::Netlist& virtual_design,
   candidate.shape = shape;
 
   place::GlobalPlacer placer(model, options.placer);
-  const place::PlaceResult placed = placer.run();
+  auto placed_or = placer.try_run(fault::DegradePolicy{});
+  if (!placed_or.has_value()) {
+    // Under the default policy the placer fails only on allocation. Rethrow
+    // it so the whole sweep fails as one `alloc-failure` in try_run_vpr.
+    throw std::bad_alloc();
+  }
+  const place::PlaceResult placed = std::move(placed_or).value();
   place::cell_positions(virtual_design, placed.placement, positions_scratch);
   const std::vector<geom::Point>& positions = positions_scratch;
 
@@ -160,7 +166,8 @@ ShapeCandidate score_virtual_die(netlist::Netlist& virtual_design,
 
 }  // namespace
 
-VprResult run_vpr(const netlist::Netlist& subnetlist, const VprOptions& options) {
+fault::Expected<VprResult, fault::FlowError> try_run_vpr(
+    const netlist::Netlist& subnetlist, const VprOptions& options) {
   VprResult result;
   const auto shapes = candidate_shapes(options);
   result.candidates.assign(shapes.size(), ShapeCandidate{});
@@ -174,28 +181,33 @@ VprResult run_vpr(const netlist::Netlist& subnetlist, const VprOptions& options)
     std::vector<geom::Point> positions;
   };
   std::vector<LaneScratch> scratch(exec::worker_slots());
-  exec::parallel_for(0, shapes.size(), /*grain=*/1, [&](std::size_t i) {
-    // Fault site `vpr.shape_eval`, keyed by candidate index: failed
-    // candidates stay non-finite and drop out of best-index selection.
-    if (const auto kind = fault::trigger("vpr.shape_eval", i)) {
-      result.candidates[i].shape = shapes[i];
-      switch (*kind) {
-        case fault::FaultKind::kAlloc:
-          throw std::bad_alloc();
-        case fault::FaultKind::kPoison:
-          result.candidates[i].total_cost = fault::poison_value();
-          return;
-        default:  // error / timeout: candidate eval failed
-          result.candidates[i].total_cost =
-              std::numeric_limits<double>::infinity();
-          return;
+  try {
+    exec::parallel_for(0, shapes.size(), /*grain=*/1, [&](std::size_t i) {
+      // Fault site `vpr.shape_eval`, keyed by candidate index: failed
+      // candidates stay non-finite and drop out of best-index selection.
+      if (const auto kind = fault::trigger("vpr.shape_eval", i)) {
+        result.candidates[i].shape = shapes[i];
+        switch (*kind) {
+          case fault::FaultKind::kAlloc:
+            throw std::bad_alloc();
+          case fault::FaultKind::kPoison:
+            result.candidates[i].total_cost = fault::poison_value();
+            return;
+          default:  // error / timeout: candidate eval failed
+            result.candidates[i].total_cost =
+                std::numeric_limits<double>::infinity();
+            return;
+        }
       }
-    }
-    LaneScratch& slot = scratch[exec::this_worker_slot()];
-    if (!slot.nl.has_value()) slot.nl.emplace(subnetlist);
-    result.candidates[i] =
-        evaluate_shape_inplace(*slot.nl, shapes[i], options, slot.positions);
-  });
+      LaneScratch& slot = scratch[exec::this_worker_slot()];
+      if (!slot.nl.has_value()) slot.nl.emplace(subnetlist);
+      result.candidates[i] =
+          evaluate_shape_inplace(*slot.nl, shapes[i], options, slot.positions);
+    });
+  } catch (const std::bad_alloc&) {
+    return fault::Unexpected<fault::FlowError>(
+        fault::make_error("vpr.shape_eval", fault::FaultKind::kAlloc));
+  }
 
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < result.candidates.size(); ++i) {
@@ -208,16 +220,6 @@ VprResult run_vpr(const netlist::Netlist& subnetlist, const VprOptions& options)
   }
   PPACD_COUNT("vpr.shapes.evaluated", shapes.size());
   return result;
-}
-
-fault::Expected<VprResult, fault::FlowError> try_run_vpr(
-    const netlist::Netlist& subnetlist, const VprOptions& options) {
-  try {
-    return run_vpr(subnetlist, options);
-  } catch (const std::bad_alloc&) {
-    return fault::Unexpected<fault::FlowError>(
-        fault::make_error("vpr.shape_eval", fault::FaultKind::kAlloc));
-  }
 }
 
 namespace {

@@ -90,11 +90,8 @@ ShapeCandidate evaluate_shape(const netlist::Netlist& subnetlist,
 /// Full V-P&R sweep over all candidates for one sub-netlist. Candidates
 /// whose evaluation fails (injected `vpr.shape_eval` fault or non-finite
 /// score) are left at infinite/NaN cost and excluded from best_index.
-VprResult run_vpr(const netlist::Netlist& subnetlist, const VprOptions& options);
-
-/// Fallible form of run_vpr: converts allocation failure during the sweep
-/// into a structured `alloc-failure` error instead of propagating
-/// std::bad_alloc.
+/// Allocation failure anywhere in the sweep fails the whole sweep with a
+/// structured `alloc-failure` error.
 [[nodiscard]] fault::Expected<VprResult, fault::FlowError> try_run_vpr(
     const netlist::Netlist& subnetlist, const VprOptions& options);
 

@@ -355,7 +355,10 @@ struct RoutedDesign {
                                   place::FloorplanOptions{});
     place::place_ports_on_boundary(nl, fp);
     const place::PlaceModel model = place::make_place_model(nl, fp);
-    const auto gp = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
+    const auto gp =
+        place::GlobalPlacer(model, place::GlobalPlacerOptions{})
+            .try_run(fault::DegradePolicy{})
+            .value();
     positions = place::cell_positions(nl, gp.placement);
     routed = route::GlobalRouter(nl, positions, fp.core, options)
         .try_run(fault::DegradePolicy{}).value();

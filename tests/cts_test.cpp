@@ -22,7 +22,10 @@ struct PlacedDesign {
                                   place::FloorplanOptions{});
     place::place_ports_on_boundary(nl, fp);
     const place::PlaceModel model = place::make_place_model(nl, fp);
-    const auto gp = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
+    const auto gp =
+        place::GlobalPlacer(model, place::GlobalPlacerOptions{})
+            .try_run(fault::DegradePolicy{})
+            .value();
     positions = place::cell_positions(nl, gp.placement);
   }
   static netlist::Netlist make(int cells) {
@@ -104,12 +107,12 @@ TEST(Cts, InsertionDelaysFeedSta) {
   base_options.clock_period_ps = 800.0;
   base_options.cell_positions = &d.positions;
   sta::Sta ideal(d.nl, base_options);
-  ideal.run();
+  ideal.try_run().value();
 
   sta::StaOptions cts_options = base_options;
   cts_options.clock_arrivals_ps = &tree.insertion_delay_ps;
   sta::Sta skewed(d.nl, cts_options);
-  skewed.run();
+  skewed.try_run().value();
 
   // Post-CTS timing differs from ideal-clock timing (skew shifts slacks),
   // and both produce finite results.

@@ -28,7 +28,10 @@ struct LegalDesign {
     fp = Floorplan::create(nl_storage->total_cell_area(), lib().row_height_um(), fpo);
     place_ports_on_boundary(*nl_storage, fp);
     model = make_place_model(*nl_storage, fp);
-    const PlaceResult gp = GlobalPlacer(model, GlobalPlacerOptions{}).run();
+    const PlaceResult gp =
+        GlobalPlacer(model, GlobalPlacerOptions{})
+            .try_run(fault::DegradePolicy{})
+            .value();
     legal = legalize(model, gp.placement);
   }
   std::optional<netlist::Netlist> nl_storage;

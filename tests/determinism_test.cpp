@@ -355,8 +355,11 @@ std::uint64_t bits(double v) {
 }
 
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  // An empty vector's data() may be null, which memcmp must not receive
+  // even for a zero length.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// Lengths covering the empty case, pure scalar tails, exact lane multiples,

@@ -53,7 +53,7 @@ TEST(Edge, CombinationalOnlySta) {
   sta::StaOptions options;
   options.clock_period_ps = 1000.0;
   sta::Sta sta(nl, options);
-  sta.run();
+  sta.try_run().value();
   // Endpoint = output port only; slack = period - inv delay.
   ASSERT_EQ(sta.endpoints().size(), 1u);
   EXPECT_GT(sta.slack_ps(sta.endpoints()[0]), 0.0);
@@ -86,7 +86,10 @@ TEST(Edge, SingleCellPlacement) {
       place::Floorplan::create(nl.total_cell_area(), lib().row_height_um(), fpo);
   place::place_ports_on_boundary(nl, fp);
   const place::PlaceModel model = place::make_place_model(nl, fp);
-  const auto result = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
+  const auto result =
+      place::GlobalPlacer(model, place::GlobalPlacerOptions{})
+          .try_run(fault::DegradePolicy{})
+          .value();
   EXPECT_TRUE(fp.core.contains(result.placement[0]));
   const auto legal = place::legalize(model, result.placement);
   EXPECT_EQ(legal.failed_count, 0);
@@ -146,10 +149,9 @@ TEST(Edge, VerilogRoundTripTinyDesign) {
   std::ostringstream out;
   netlist::write_verilog(nl, out);
   std::istringstream in(out.str());
-  const auto restored = netlist::read_verilog(in, lib());
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->cell_count(), 1u);
-  EXPECT_TRUE(restored->validate().empty());
+  const Netlist restored = netlist::try_read_verilog(in, lib()).value();
+  EXPECT_EQ(restored.cell_count(), 1u);
+  EXPECT_TRUE(restored.validate().empty());
 }
 
 TEST(Edge, FloorplanTinyArea) {
@@ -164,7 +166,7 @@ TEST(Edge, StaWithZeroPeriod) {
   sta::StaOptions options;
   options.clock_period_ps = 0.0;  // everything violates
   sta::Sta sta(nl, options);
-  sta.run();
+  sta.try_run().value();
   EXPECT_LT(sta.wns_ps(), 0.0);
   EXPECT_LT(sta.tns_ns(), 0.0);
 }
@@ -192,7 +194,10 @@ TEST(Edge, LegalizerAtVeryHighDensity) {
       place::Floorplan::create(nl.total_cell_area(), lib().row_height_um(), fpo);
   place::place_ports_on_boundary(nl, fp);
   const place::PlaceModel model = place::make_place_model(nl, fp);
-  const auto gp = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
+  const auto gp =
+      place::GlobalPlacer(model, place::GlobalPlacerOptions{})
+          .try_run(fault::DegradePolicy{})
+          .value();
   const auto legal = place::legalize(model, gp.placement);
   // Abacus must still find room (the core fits everything by construction).
   EXPECT_EQ(legal.failed_count, 0);

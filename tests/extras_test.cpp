@@ -118,7 +118,7 @@ TEST(StaReport, NamesAndStructure) {
   sta::StaOptions options;
   options.clock_period_ps = 100.0;  // far below any path: force violations
   sta::Sta sta(nl, options);
-  sta.run();
+  sta.try_run().value();
   const std::string report = sta::report_checks(nl, sta, 2);
   EXPECT_NE(report.find("Startpoint:"), std::string::npos);
   EXPECT_NE(report.find("Endpoint:"), std::string::npos);

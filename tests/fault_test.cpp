@@ -251,6 +251,35 @@ TEST_F(FaultTest, DisabledStaPolicyPropagatesStructuredError) {
   EXPECT_EQ(outcome.error.site, "sta.arrival");
 }
 
+TEST_F(FaultTest, SizingStaFaultDegradesOrPropagatesPerPolicy) {
+  // Timing repair runs STA between sizing rounds; the sta.arrival site must
+  // reach it like every other STA call of the flow.
+  gen::DesignSpec design = gen::design_spec("aes");
+  design.target_cells = 300;
+  flow::FlowOptions options;
+  options.timing_optimization = true;
+  for (const bool fallback : {true, false}) {
+    SCOPED_TRACE(fallback ? "sta_fallback_hpwl" : "no fallback");
+    fault::reset_log();
+    fault::set_plan(fault::parse_plan("seed=5;sta.arrival=error").value());
+    options.degrade.sta_fallback_hpwl = fallback;
+    netlist::Netlist nl = gen::generate(lib(), design);
+    const auto result = flow::try_run_default_flow(nl, options);
+    fault::clear_plan();
+    if (fallback) {
+      ASSERT_TRUE(result.has_value()) << result.error().code;
+      const std::vector<fault::Degradation> want = {
+          {"sta.arrival", "sta-arrival-failed", "hpwl-only",
+           "gate sizing stopped"}};
+      EXPECT_EQ(fault::degradation_log(), want);
+    } else {
+      ASSERT_FALSE(result.has_value());
+      EXPECT_EQ(result.error().code, "sta-arrival-failed");
+      EXPECT_EQ(result.error().site, "sta.arrival");
+    }
+  }
+}
+
 TEST_F(FaultTest, DisabledPlacePolicyPropagatesStructuredError) {
   fault::DegradePolicy policy;
   policy.place_early_stop = false;

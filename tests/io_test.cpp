@@ -38,14 +38,11 @@ TEST(VerilogIo, RoundTripPreservesStructure) {
   write_verilog(original, out);
 
   std::istringstream in(out.str());
-  ParseError error;
-  const auto restored = read_verilog(in, lib(), &error);
-  ASSERT_TRUE(restored.has_value()) << "line " << error.line << ": "
-                                    << error.message;
-  EXPECT_TRUE(restored->validate().empty());
+  const Netlist restored = try_read_verilog(in, lib()).value();
+  EXPECT_TRUE(restored.validate().empty());
 
   const NetlistStats a = compute_stats(original);
-  const NetlistStats b = compute_stats(*restored);
+  const NetlistStats b = compute_stats(restored);
   EXPECT_EQ(a.cell_count, b.cell_count);
   EXPECT_EQ(a.net_count, b.net_count);
   EXPECT_EQ(a.port_count, b.port_count);
@@ -58,14 +55,13 @@ TEST(VerilogIo, RoundTripRestoresHierarchy) {
   std::ostringstream out;
   write_verilog(original, out);
   std::istringstream in(out.str());
-  const auto restored = read_verilog(in, lib());
-  ASSERT_TRUE(restored.has_value());
+  const Netlist restored = try_read_verilog(in, lib()).value();
   // Same number of modules carrying cells (empty intermediate modules are
   // recreated implicitly by the path decomposition).
   const NetlistStats a = compute_stats(original);
-  const NetlistStats b = compute_stats(*restored);
+  const NetlistStats b = compute_stats(restored);
   EXPECT_EQ(a.max_hierarchy_depth, b.max_hierarchy_depth);
-  EXPECT_TRUE(restored->has_hierarchy());
+  EXPECT_TRUE(restored.has_hierarchy());
 }
 
 TEST(VerilogIo, RoundTripRestoresClockNets) {
@@ -73,36 +69,44 @@ TEST(VerilogIo, RoundTripRestoresClockNets) {
   std::ostringstream out;
   write_verilog(original, out);
   std::istringstream in(out.str());
-  const auto restored = read_verilog(in, lib());
-  ASSERT_TRUE(restored.has_value());
+  const Netlist restored = try_read_verilog(in, lib()).value();
   std::size_t clock_nets = 0;
-  for (std::size_t ni = 0; ni < restored->net_count(); ++ni) {
-    if (restored->net(static_cast<NetId>(ni)).is_clock) ++clock_nets;
+  for (std::size_t ni = 0; ni < restored.net_count(); ++ni) {
+    if (restored.net(static_cast<NetId>(ni)).is_clock) ++clock_nets;
   }
   EXPECT_EQ(clock_nets, 1u);
 }
 
+/// Asserts that `text` is rejected as `io-parse-failed` with a "line N: "
+/// prefix and `fragment` in the message.
+void expect_parse_error(const std::string& text, int line,
+                        const std::string& fragment) {
+  std::istringstream in(text);
+  const auto restored = try_read_verilog(in, lib());
+  ASSERT_FALSE(restored.has_value());
+  EXPECT_EQ(restored.error().code, "io-parse-failed");
+  EXPECT_EQ(restored.error().site, "io.read");
+  const std::string prefix = "line " + std::to_string(line) + ": ";
+  EXPECT_EQ(restored.error().message.rfind(prefix, 0), 0u)
+      << restored.error().message;
+  EXPECT_NE(restored.error().message.find(fragment), std::string::npos)
+      << restored.error().message;
+}
+
 TEST(VerilogIo, ReaderRejectsGarbage) {
-  std::istringstream in("this is not verilog");
-  ParseError error;
-  EXPECT_FALSE(read_verilog(in, lib(), &error).has_value());
-  EXPECT_FALSE(error.message.empty());
+  expect_parse_error("this is not verilog", 1, "expected 'module'");
 }
 
 TEST(VerilogIo, ReaderRejectsUnknownCell) {
-  std::istringstream in(
-      "module t (a);\n  input a;\n  BOGUS_X9 g0 (.A(a));\nendmodule\n");
-  ParseError error;
-  EXPECT_FALSE(read_verilog(in, lib(), &error).has_value());
-  EXPECT_NE(error.message.find("unknown cell"), std::string::npos);
+  expect_parse_error(
+      "module t (a);\n  input a;\n  BOGUS_X9 g0 (.A(a));\nendmodule\n", 3,
+      "unknown cell");
 }
 
 TEST(VerilogIo, ReaderRejectsUnknownPin) {
-  std::istringstream in(
-      "module t (a);\n  input a;\n  INV_X1 g0 (.NOPE(a));\nendmodule\n");
-  ParseError error;
-  EXPECT_FALSE(read_verilog(in, lib(), &error).has_value());
-  EXPECT_NE(error.message.find("no pin"), std::string::npos);
+  expect_parse_error(
+      "module t (a);\n  input a;\n  INV_X1 g0 (.NOPE(a));\nendmodule\n", 3,
+      "no pin");
 }
 
 TEST(PlacementDef, RoundTrip) {
@@ -118,9 +122,8 @@ TEST(PlacementDef, RoundTrip) {
 
   std::istringstream in(out.str());
   std::vector<geom::Point> restored;
-  ParseError error;
-  ASSERT_TRUE(read_placement_def(in, nl, &restored, &error))
-      << error.message;
+  std::string error;
+  ASSERT_TRUE(read_placement_def(in, nl, &restored, &error)) << error;
   ASSERT_EQ(restored.size(), positions.size());
   for (std::size_t i = 0; i < positions.size(); ++i) {
     EXPECT_NEAR(restored[i].x, positions[i].x, 1e-3);  // DBU quantization
@@ -143,9 +146,10 @@ TEST(PlacementDef, UnknownComponentFails) {
   const Netlist nl = sample(50);
   std::istringstream in("- no_such_cell INV_X1 + PLACED ( 10 10 ) N ;\n");
   std::vector<geom::Point> positions;
-  ParseError error;
+  std::string error;
   EXPECT_FALSE(read_placement_def(in, nl, &positions, &error));
-  EXPECT_NE(error.message.find("unknown component"), std::string::npos);
+  EXPECT_EQ(error.rfind("line 1: ", 0), 0u) << error;
+  EXPECT_NE(error.find("unknown component"), std::string::npos);
 }
 
 }  // namespace

@@ -72,13 +72,13 @@ TEST(Buffering, ImprovesWorstSlackOnHubHeavyDesign) {
   sta_options.clock_period_ps = d.clock_ps;
   sta_options.cell_positions = &d.positions;
   sta::Sta before(*d.nl, sta_options);
-  before.run();
+  before.try_run().value();
 
   BufferingOptions options;
   options.max_fanout = 16;
   buffer_high_fanout(*d.nl, d.positions, options);
   sta::Sta after(*d.nl, sta_options);
-  after.run();
+  after.try_run().value();
   // Buffering trades a little insertion delay for far smaller loads on hub
   // drivers; TNS must not get dramatically worse and usually improves.
   EXPECT_GE(after.tns_ns(), before.tns_ns() * 1.2);  // at most 20% worse
@@ -115,7 +115,7 @@ TEST(Sizing, ImprovesTimingOnViolatingDesign) {
   SizingOptions options;
   options.clock_period_ps = d.clock_ps;
   const SizingResult result =
-      resize_critical_cells(*d.nl, d.positions, options);
+      resize_critical_cells(*d.nl, d.positions, options).value();
   EXPECT_TRUE(d.nl->validate().empty());
   ASSERT_LT(result.wns_before_ps, 0.0) << "test design must violate";
   EXPECT_GT(result.upsized_cells, 0);
@@ -129,7 +129,7 @@ TEST(Sizing, RespectsRoundBudget) {
   options.clock_period_ps = d.clock_ps;
   options.max_rounds = 1;
   const SizingResult result =
-      resize_critical_cells(*d.nl, d.positions, options);
+      resize_critical_cells(*d.nl, d.positions, options).value();
   EXPECT_LE(result.rounds, 1);
 }
 
@@ -138,7 +138,7 @@ TEST(Sizing, NoOpWhenTimingClean) {
   SizingOptions options;
   options.clock_period_ps = 1e7;  // everything meets timing
   const SizingResult result =
-      resize_critical_cells(*d.nl, d.positions, options);
+      resize_critical_cells(*d.nl, d.positions, options).value();
   EXPECT_EQ(result.upsized_cells, 0);
   EXPECT_DOUBLE_EQ(result.wns_after_ps, 0.0);
 }
@@ -186,14 +186,15 @@ TEST(TimingOpt, BufferThenSizePipeline) {
   sta_options.clock_period_ps = d.clock_ps;
   sta_options.cell_positions = &d.positions;
   sta::Sta before(*d.nl, sta_options);
-  before.run();
+  before.try_run().value();
 
   BufferingOptions buf;
   buf.max_fanout = 20;
   buffer_high_fanout(*d.nl, d.positions, buf);
   SizingOptions size;
   size.clock_period_ps = d.clock_ps;
-  const SizingResult sized = resize_critical_cells(*d.nl, d.positions, size);
+  const SizingResult sized =
+      resize_critical_cells(*d.nl, d.positions, size).value();
 
   EXPECT_TRUE(d.nl->validate().empty());
   // The pipeline should not be worse than the raw design.

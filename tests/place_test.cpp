@@ -136,7 +136,7 @@ struct PlacedDesign {
 TEST(GlobalPlacer, ProducesInCorePlacement) {
   PlacedDesign d(500);
   GlobalPlacer placer(d.model, GlobalPlacerOptions{});
-  const PlaceResult result = placer.run();
+  const PlaceResult result = placer.try_run(fault::DegradePolicy{}).value();
   ASSERT_EQ(result.placement.size(), d.model.objects.size());
   for (std::size_t i = 0; i < d.nl.cell_count(); ++i) {
     EXPECT_TRUE(d.fp.core.contains(result.placement[i])) << "cell " << i;
@@ -148,7 +148,7 @@ TEST(GlobalPlacer, ProducesInCorePlacement) {
 TEST(GlobalPlacer, BeatsRandomPlacementOnHpwl) {
   PlacedDesign d(500);
   GlobalPlacer placer(d.model, GlobalPlacerOptions{});
-  const PlaceResult result = placer.run();
+  const PlaceResult result = placer.try_run(fault::DegradePolicy{}).value();
 
   util::Rng rng(7);
   Placement random(d.model.objects.size());
@@ -165,8 +165,10 @@ TEST(GlobalPlacer, DeterministicForFixedSeed) {
   PlacedDesign d(300);
   GlobalPlacerOptions options;
   options.seed = 5;
-  const PlaceResult a = GlobalPlacer(d.model, options).run();
-  const PlaceResult b = GlobalPlacer(d.model, options).run();
+  const PlaceResult a =
+      GlobalPlacer(d.model, options).try_run(fault::DegradePolicy{}).value();
+  const PlaceResult b =
+      GlobalPlacer(d.model, options).try_run(fault::DegradePolicy{}).value();
   ASSERT_EQ(a.placement.size(), b.placement.size());
   for (std::size_t i = 0; i < a.placement.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.placement[i].x, b.placement[i].x);
@@ -177,10 +179,13 @@ TEST(GlobalPlacer, DeterministicForFixedSeed) {
 TEST(GlobalPlacer, IncrementalStaysNearSeed) {
   PlacedDesign d(500);
   GlobalPlacer placer(d.model, GlobalPlacerOptions{});
-  const PlaceResult full = placer.run();
+  const PlaceResult full = placer.try_run(fault::DegradePolicy{}).value();
 
   // Seed: the converged placement. Incremental from it must not wander far.
-  const PlaceResult inc = placer.run_incremental(full.placement);
+  const PlaceResult inc =
+      placer
+          .try_run_incremental(full.placement, fault::DegradePolicy{})
+          .value();
   double mean_move = 0.0;
   for (std::size_t i = 0; i < d.nl.cell_count(); ++i) {
     mean_move += geom::manhattan(full.placement[i], inc.placement[i]);
@@ -201,7 +206,8 @@ TEST(GlobalPlacer, IncrementalImprovesClusterSeed) {
     if (d.model.objects[i].fixed) seed[i] = d.model.objects[i].fixed_position;
   }
   GlobalPlacer placer(d.model, GlobalPlacerOptions{});
-  const PlaceResult inc = placer.run_incremental(seed);
+  const PlaceResult inc =
+      placer.try_run_incremental(seed, fault::DegradePolicy{}).value();
   EXPECT_LT(inc.overflow, 0.6);
   // Cells actually moved off the center.
   double spread = 0.0;
@@ -219,7 +225,7 @@ TEST(GlobalPlacer, RegionConstraintHonoured) {
       d.fp.core.lx, d.fp.core.ly, d.fp.core.center().x, d.fp.core.center().y);
   for (std::size_t i = 0; i < 50; ++i) d.model.objects[i].region = fence;
   GlobalPlacer placer(d.model, GlobalPlacerOptions{});
-  const PlaceResult result = placer.run();
+  const PlaceResult result = placer.try_run(fault::DegradePolicy{}).value();
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_TRUE(fence.contains(result.placement[i])) << "cell " << i;
   }
@@ -228,7 +234,7 @@ TEST(GlobalPlacer, RegionConstraintHonoured) {
 TEST(Legalizer, NoOverlapsWithinRows) {
   PlacedDesign d(400, 0.6);
   GlobalPlacer placer(d.model, GlobalPlacerOptions{});
-  const PlaceResult gp = placer.run();
+  const PlaceResult gp = placer.try_run(fault::DegradePolicy{}).value();
   const LegalizeResult lg = legalize(d.model, gp.placement);
   EXPECT_EQ(lg.failed_count, 0);
 
@@ -254,7 +260,10 @@ TEST(Legalizer, NoOverlapsWithinRows) {
 
 TEST(Legalizer, CellsSnapToRowCenters) {
   PlacedDesign d(300, 0.6);
-  const PlaceResult gp = GlobalPlacer(d.model, GlobalPlacerOptions{}).run();
+  const PlaceResult gp =
+      GlobalPlacer(d.model, GlobalPlacerOptions{})
+          .try_run(fault::DegradePolicy{})
+          .value();
   const LegalizeResult lg = legalize(d.model, gp.placement);
   const double row_h = d.model.row_height_um;
   for (std::size_t i = 0; i < d.nl.cell_count(); ++i) {
@@ -265,7 +274,10 @@ TEST(Legalizer, CellsSnapToRowCenters) {
 
 TEST(Legalizer, DisplacementIsModest) {
   PlacedDesign d(400, 0.5);
-  const PlaceResult gp = GlobalPlacer(d.model, GlobalPlacerOptions{}).run();
+  const PlaceResult gp =
+      GlobalPlacer(d.model, GlobalPlacerOptions{})
+          .try_run(fault::DegradePolicy{})
+          .value();
   const LegalizeResult lg = legalize(d.model, gp.placement);
   const double mean_disp =
       lg.total_displacement_um / static_cast<double>(d.nl.cell_count());
@@ -285,7 +297,7 @@ TEST(GlobalPlacer, BlockageRepelsCells) {
   d.model.objects.push_back(notch);
 
   GlobalPlacer placer(d.model, GlobalPlacerOptions{});
-  const PlaceResult result = placer.run();
+  const PlaceResult result = placer.try_run(fault::DegradePolicy{}).value();
   // The blocked half should hold far less than half the cells.
   std::size_t in_blocked = 0;
   for (std::size_t i = 0; i < d.nl.cell_count(); ++i) {
@@ -304,7 +316,7 @@ TEST(GlobalPlacer, BlockageObjectsAreNotMoved) {
   notch.fixed_position = d.fp.core.center();
   d.model.objects.push_back(notch);
   GlobalPlacer placer(d.model, GlobalPlacerOptions{});
-  const PlaceResult result = placer.run();
+  const PlaceResult result = placer.try_run(fault::DegradePolicy{}).value();
   const geom::Point placed = result.placement.back();
   EXPECT_DOUBLE_EQ(placed.x, d.fp.core.center().x);
   EXPECT_DOUBLE_EQ(placed.y, d.fp.core.center().y);

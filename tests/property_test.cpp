@@ -87,7 +87,7 @@ TEST_P(GeneratorProperty, TimingGraphIsAcyclic) {
   sta::StaOptions options;
   options.clock_period_ps = 1000.0;
   sta::Sta sta(nl, options);
-  sta.run();
+  sta.try_run().value();
   EXPECT_TRUE(std::isfinite(sta.tns_ns()));
 }
 
@@ -122,7 +122,7 @@ TEST_P(StaProperty, SlackArithmeticAndPathMonotonicity) {
   sta::StaOptions options;
   options.clock_period_ps = spec.clock_period_ps;
   sta::Sta sta(nl, options);
-  sta.run();
+  sta.try_run().value();
 
   // TNS aggregates at least the WNS endpoint.
   EXPECT_LE(sta.tns_ns() * 1000.0, sta.wns_ps() + 1e-9);
@@ -177,7 +177,10 @@ TEST_P(PlaceProperty, LegalizedPlacementIsLegalAndInCore) {
       place::Floorplan::create(nl.total_cell_area(), lib().row_height_um(), fpo);
   place::place_ports_on_boundary(nl, fp);
   const place::PlaceModel model = place::make_place_model(nl, fp);
-  const auto gp = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
+  const auto gp =
+      place::GlobalPlacer(model, place::GlobalPlacerOptions{})
+          .try_run(fault::DegradePolicy{})
+          .value();
   const auto legal = place::legalize(model, gp.placement);
   EXPECT_EQ(legal.failed_count, 0) << "utilization " << GetParam();
 
@@ -260,7 +263,10 @@ TEST(RouteProperty, UtilizationsNonNegativeAndConsistent) {
       nl.total_cell_area(), lib().row_height_um(), place::FloorplanOptions{});
   place::place_ports_on_boundary(nl, fp);
   const place::PlaceModel model = place::make_place_model(nl, fp);
-  const auto gp = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
+  const auto gp =
+      place::GlobalPlacer(model, place::GlobalPlacerOptions{})
+          .try_run(fault::DegradePolicy{})
+          .value();
   const auto positions = place::cell_positions(nl, gp.placement);
   const auto result =
       route::GlobalRouter(nl, positions, fp.core, route::RouteOptions{})
@@ -298,7 +304,7 @@ TEST_P(FcProperty, AssignmentIsCompleteAndCompact) {
   sta::StaOptions sta_options;
   sta_options.clock_period_ps = spec.clock_period_ps;
   sta::Sta sta(nl, sta_options);
-  sta.run();
+  sta.try_run().value();
   const auto timing = cluster::net_timing_costs(nl, sta, spec.clock_period_ps);
   const auto act = sta::propagate_activity(nl, sta::ActivityOptions{});
   const auto theta = cluster::net_switching_activity(nl, act);
@@ -499,10 +505,14 @@ TEST(ExpectedProperty, ValueOnErrorNamesTheCodeAndDoesNotReturn) {
   // std::bad_variant_access in release.
   const Expected<int, FlowError> bad =
       fault::err("route-maze-timeout", "route.maze", "injected");
+  const Expected<void, FlowError> bad_void =
+      fault::err("sta-arrival-failed", "sta.arrival", "injected");
 #if PPACD_CHECK_ABORTS_
   EXPECT_DEATH((void)bad.value(), "route-maze-timeout");
+  EXPECT_DEATH(bad_void.value(), "sta-arrival-failed");
 #else
   EXPECT_THROW((void)bad.value(), std::bad_variant_access);
+  EXPECT_THROW(bad_void.value(), std::bad_variant_access);
 #endif
 }
 

@@ -60,7 +60,10 @@ struct RoutedDesign {
     fp = place::Floorplan::create(nl.total_cell_area(), lib().row_height_um(), fpo);
     place::place_ports_on_boundary(nl, fp);
     const place::PlaceModel model = place::make_place_model(nl, fp);
-    const auto gp = place::GlobalPlacer(model, place::GlobalPlacerOptions{}).run();
+    const auto gp =
+        place::GlobalPlacer(model, place::GlobalPlacerOptions{})
+            .try_run(fault::DegradePolicy{})
+            .value();
     const auto lg = place::legalize(model, gp.placement);
     positions = place::cell_positions(nl, lg.placement);
   }

@@ -73,7 +73,7 @@ TEST(Vpr, EvaluateShapeProducesCosts) {
 TEST(Vpr, RunVprPicksArgmin) {
   const netlist::Netlist nl = small_design();
   const netlist::SubNetlist sub = sample_cluster(nl);
-  const VprResult result = run_vpr(sub.netlist, VprOptions{});
+  const VprResult result = try_run_vpr(sub.netlist, VprOptions{}).value();
   ASSERT_EQ(result.candidates.size(), 20u);
   double best = result.candidates[result.best_index].total_cost;
   for (const ShapeCandidate& c : result.candidates) {
@@ -86,7 +86,7 @@ TEST(Vpr, ShapeMattersForCost) {
   // machinery (and the ML model) would be pointless.
   const netlist::Netlist nl = small_design();
   const netlist::SubNetlist sub = sample_cluster(nl);
-  const VprResult result = run_vpr(sub.netlist, VprOptions{});
+  const VprResult result = try_run_vpr(sub.netlist, VprOptions{}).value();
   double min_cost = result.candidates[0].total_cost;
   double max_cost = min_cost;
   for (const ShapeCandidate& c : result.candidates) {
