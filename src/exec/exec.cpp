@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -26,34 +26,73 @@ thread_local bool t_is_worker = false;
 /// must also run inline, or it would re-lock region_mutex and deadlock.
 thread_local bool t_in_region = false;
 
-struct Pool {
-  std::mutex mutex;
-  std::condition_variable work_cv;  ///< workers wait here for a region
-  std::condition_variable done_cv;  ///< the caller waits here for completion
+// --- The claim word ----------------------------------------------------------
+// One 64-bit atomic publishes a region and hands out its chunks: the high 32
+// bits are the region epoch, the low 32 bits the next chunk index. Lanes claim
+// with fetch_add(1); an index >= the region's chunk count means "exhausted".
+// While the caller writes a new region's descriptor the word holds the new
+// epoch with index kClosed, so no lane can claim against a half-written
+// descriptor (see claim_descriptor()).
+constexpr std::uint64_t kIndexMask = 0xFFFF'FFFFULL;
+constexpr std::uint64_t kClosed = std::uint64_t{1} << 31;
 
+constexpr std::uint64_t make_word(std::uint64_t epoch, std::uint64_t index) {
+  return (epoch << 32) | index;
+}
+constexpr std::uint64_t epoch_of(std::uint64_t word) { return word >> 32; }
+constexpr std::uint64_t index_of(std::uint64_t word) { return word & kIndexMask; }
+
+/// Spin budget before a waiting lane parks: long enough to bridge the serial
+/// gaps between back-to-back regions (a CG iteration issues several) without
+/// a park and wake per gap, short enough that a lane idle through a serial
+/// phase sleeps within ~0.2 ms (a pause takes ~23 ns on the 4-core Xeon the
+/// benchmark ran on; 2,000 pauses parked more often and cost as much CPU).
+constexpr int kSpinPauses = 8000;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#else
+  std::this_thread::yield();
+#endif
+}
+
+struct Pool {
   /// Joins the workers at static destruction — a destroyed joinable
   /// std::thread calls std::terminate, so a process exiting with a live
   /// multi-lane pool (e.g. flow_cli --threads N) must wind it down here.
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      shutdown = true;
-    }
-    work_cv.notify_all();
-    for (std::thread& worker : workers) worker.join();
-  }
+  ~Pool();
 
   int lanes = 0;  ///< 0 = not yet configured
   std::vector<std::thread> workers;
-  bool shutdown = false;
 
-  // --- Current region (one at a time; callers serialize on region_mutex) ---
+  /// Serializes regions issued by different non-pool threads (the flow
+  /// issues them from one thread; the lock is uncontended there).
   std::mutex region_mutex;
-  const detail::ChunkFnRef* fn = nullptr;
-  std::vector<std::deque<std::size_t>> queues;  ///< one chunk deque per lane
-  std::size_t pending = 0;                      ///< chunks not yet finished
+
+  alignas(64) std::atomic<std::uint64_t> word{make_word(0, kClosed)};
+
+  // --- Current region descriptor: written by the caller between closing and
+  // opening the word, read by a lane once per region it joins.
+  alignas(64) std::atomic<const detail::ChunkFnRef*> fn{nullptr};
+  std::atomic<std::uint64_t> chunk_count{0};
+  /// Chunks not yet finished; each lane subtracts what it ran once it finds
+  /// the region exhausted. Zero releases the caller.
+  alignas(64) std::atomic<std::uint64_t> remaining{0};
   std::atomic<bool> failed{false};
+  /// Written only by the lane that wins `failed`; read by the caller after
+  /// `remaining` reaches zero (ordered by that lane's release decrement).
   std::exception_ptr error;
+
+  // --- Parking ---------------------------------------------------------------
+  std::mutex park_mutex;
+  std::condition_variable work_cv;  ///< parked workers wait for a new region
+  std::condition_variable done_cv;  ///< the parked caller waits for the drain
+  std::atomic<int> parked_workers{0};
+  std::atomic<bool> caller_parked{false};
+  std::atomic<bool> shutdown{false};
 };
 
 Pool& pool_state() {
@@ -71,111 +110,150 @@ int env_thread_count() {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-/// Claims one chunk for `lane`: its own deque front first, else steals from
-/// the back of the busiest other lane. Returns false when no work is left.
-/// Caller holds pool.mutex.
-bool claim_chunk(Pool& pool, std::size_t lane, std::size_t* chunk,
-                 bool* stolen) {
-  if (!pool.queues[lane].empty()) {
-    *chunk = pool.queues[lane].front();
-    pool.queues[lane].pop_front();
-    *stolen = false;
-    return true;
-  }
-  std::size_t victim = lane;
-  std::size_t victim_size = 0;
-  for (std::size_t l = 0; l < pool.queues.size(); ++l) {
-    if (l != lane && pool.queues[l].size() > victim_size) {
-      victim = l;
-      victim_size = pool.queues[l].size();
+/// True when `word` opens a region this lane has not yet finished.
+bool is_new_open(std::uint64_t word, std::uint64_t seen_epoch) {
+  return epoch_of(word) != seen_epoch && index_of(word) < kClosed;
+}
+
+/// Waits (spin, then park) until a region newer than `seen_epoch` opens or
+/// the pool shuts down. Returns false on shutdown.
+bool await_region(Pool& pool, std::uint64_t seen_epoch) {
+  for (int i = 0; i < kSpinPauses; ++i) {
+    if (pool.shutdown.load(std::memory_order_acquire)) return false;
+    if (is_new_open(pool.word.load(std::memory_order_acquire), seen_epoch)) {
+      return true;
     }
+    cpu_relax();
   }
-  if (victim_size == 0) return false;
-  *chunk = pool.queues[victim].back();
-  pool.queues[victim].pop_back();
-  *stolen = true;
+  std::unique_lock<std::mutex> lock(pool.park_mutex);
+  // Announce the park before re-reading the word; the publisher stores the
+  // word before reading parked_workers, so one of the two sees the other.
+  pool.parked_workers.fetch_add(1, std::memory_order_seq_cst);
+  pool.work_cv.wait(lock, [&pool, seen_epoch] {
+    return pool.shutdown.load(std::memory_order_seq_cst) ||
+           is_new_open(pool.word.load(std::memory_order_seq_cst), seen_epoch);
+  });
+  pool.parked_workers.fetch_sub(1, std::memory_order_relaxed);
+  return !pool.shutdown.load(std::memory_order_acquire);
+}
+
+/// What a lane knows of the region it is draining.
+struct Claimed {
+  std::uint64_t epoch = ~std::uint64_t{0};
+  std::uint64_t chunk_count = 0;
+  const detail::ChunkFnRef* fn = nullptr;
+};
+
+/// Reads the descriptor of region `epoch` after a claim returned that epoch
+/// open. Returns false when the word has since moved to a later epoch: then
+/// the region finished without this lane (its claim lay past the end — a
+/// claim below the count would have kept the region from finishing), and the
+/// descriptor may already belong to the next region. The acquire loads order
+/// the re-check: reading a value the caller wrote after closing the word
+/// makes the close visible to the re-check.
+bool claim_descriptor(Pool& pool, std::uint64_t epoch, Claimed* region) {
+  const detail::ChunkFnRef* fn = pool.fn.load(std::memory_order_acquire);
+  const std::uint64_t count = pool.chunk_count.load(std::memory_order_acquire);
+  if (epoch_of(pool.word.load(std::memory_order_acquire)) != epoch) return false;
+  region->epoch = epoch;
+  region->chunk_count = count;
+  region->fn = fn;
   return true;
 }
 
-/// Executes chunks of the current region until none are claimable. Returns
-/// with pool.mutex held.
-void drain_region(Pool& pool, std::unique_lock<std::mutex>& lock,
-                  std::size_t lane) {
-  std::int64_t executed = 0;
-  std::int64_t steals = 0;
-  while (pool.fn != nullptr) {
-    std::size_t chunk = 0;
-    bool stolen = false;
-    if (!claim_chunk(pool, lane, &chunk, &stolen)) break;
-    const detail::ChunkFnRef* fn = pool.fn;
-    lock.unlock();
-    if (stolen) ++steals;
-    ++executed;
-    if (!pool.failed.load(std::memory_order_acquire)) {
-      t_in_region = true;
-      try {
-        (*fn)(chunk);
-      } catch (...) {
-        // First failure wins; later chunks are skipped (not re-queued) so the
-        // region drains quickly. The caller rethrows after completion.
-        bool expected = false;
-        if (pool.failed.compare_exchange_strong(expected, true,
-                                                std::memory_order_acq_rel)) {
-          lock.lock();
-          pool.error = std::current_exception();
-          lock.unlock();
-        }
-      }
-      t_in_region = false;
+/// Runs one claimed chunk; the first exception of the region is kept for the
+/// caller and later chunks are skipped (claimed, not run) so it drains fast.
+void run_chunk(Pool& pool, const detail::ChunkFnRef& fn, std::size_t chunk) {
+  if (pool.failed.load(std::memory_order_acquire)) return;
+  t_in_region = true;
+  try {
+    fn(chunk);
+  } catch (...) {
+    bool expected = false;
+    if (pool.failed.compare_exchange_strong(expected, true,
+                                            std::memory_order_acq_rel)) {
+      pool.error = std::current_exception();
     }
-    lock.lock();
-    if (--pool.pending == 0) pool.done_cv.notify_all();
   }
-  if (executed > 0) PPACD_COUNT("exec.tasks.executed", executed);
-  if (steals > 0) PPACD_COUNT("exec.steal.count", steals);
+  t_in_region = false;
 }
 
-void worker_main(std::size_t lane) {
+/// Hands this lane's finished chunks back to the region; the lane that
+/// finishes the last one wakes the caller if it parked.
+void retire_chunks(Pool& pool, std::uint64_t executed) {
+  if (pool.remaining.fetch_sub(executed, std::memory_order_seq_cst) != executed) {
+    return;
+  }
+  if (pool.caller_parked.load(std::memory_order_seq_cst)) {
+    { std::lock_guard<std::mutex> lock(pool.park_mutex); }
+    pool.done_cv.notify_one();
+  }
+}
+
+/// Claims and runs chunks until a claim comes back exhausted or closed.
+/// Returns the epoch this lane is done with — unchanged `seen_epoch` when
+/// the claim found the next region still closed, so the lane waits for it
+/// to open instead of skipping it.
+std::uint64_t drain_region(Pool& pool, std::size_t lane,
+                           std::uint64_t seen_epoch) {
+  Claimed region;
+  std::uint64_t executed = 0;
+  while (true) {
+    const std::uint64_t word =
+        pool.word.fetch_add(1, std::memory_order_acq_rel);
+    const std::uint64_t epoch = epoch_of(word);
+    const std::uint64_t index = index_of(word);
+    if (index >= kClosed) return seen_epoch;
+    if (epoch != region.epoch && !claim_descriptor(pool, epoch, &region)) {
+      return epoch;
+    }
+    if (index >= region.chunk_count) break;
+    run_chunk(pool, *region.fn, static_cast<std::size_t>(index));
+    ++executed;
+  }
+  if (executed > 0) {
+    PPACD_COUNT("exec.tasks.executed", executed);
+    if (lane != 0) PPACD_COUNT("exec.steal.count", executed);
+    retire_chunks(pool, executed);
+  }
+  return region.epoch;
+}
+
+void worker_main(std::size_t lane, std::uint64_t seen_epoch) {
   t_lane = lane;
   t_is_worker = true;
   Pool& pool = pool_state();
-  std::unique_lock<std::mutex> lock(pool.mutex);
-  while (true) {
-    pool.work_cv.wait(lock, [&pool, lane] {
-      return pool.shutdown ||
-             (pool.fn != nullptr && lane < pool.queues.size());
-    });
-    if (pool.shutdown) return;
-    drain_region(pool, lock, lane);
-    // Region exhausted from this worker's perspective; wait for the next one.
-    // fn stays set until the caller observes pending == 0, so guard against a
-    // busy re-wake on the same drained region.
-    pool.work_cv.wait(lock, [&pool] { return pool.fn == nullptr || pool.shutdown; });
+  while (await_region(pool, seen_epoch)) {
+    seen_epoch = drain_region(pool, lane, seen_epoch);
   }
 }
 
-/// Joins the current workers (if any). Caller must not hold pool.mutex.
+/// Joins the current workers (if any).
 void stop_workers(Pool& pool) {
-  {
-    std::lock_guard<std::mutex> lock(pool.mutex);
-    pool.shutdown = true;
-  }
+  pool.shutdown.store(true, std::memory_order_seq_cst);
+  { std::lock_guard<std::mutex> lock(pool.park_mutex); }
   pool.work_cv.notify_all();
   for (std::thread& worker : pool.workers) worker.join();
   pool.workers.clear();
-  std::lock_guard<std::mutex> lock(pool.mutex);
-  pool.shutdown = false;
+  pool.shutdown.store(false, std::memory_order_relaxed);
 }
 
-/// Spawns workers for `lanes` total lanes. Caller must not hold pool.mutex.
+Pool::~Pool() { stop_workers(*this); }
+
+/// Spawns workers for `lanes` total lanes.
 void configure(Pool& pool, int lanes) {
   PPACD_CHECK(!t_is_worker && !t_in_region,
               "pool reconfigured from inside a parallel region");
   if (!pool.workers.empty()) stop_workers(pool);
   pool.lanes = lanes < 1 ? 1 : lanes;
+  // New workers start out done with the current epoch, read here rather
+  // than on the worker, which may start after the next region opened.
+  const std::uint64_t epoch =
+      epoch_of(pool.word.load(std::memory_order_relaxed));
   pool.workers.reserve(static_cast<std::size_t>(pool.lanes) - 1);
   for (int lane = 1; lane < pool.lanes; ++lane) {
-    pool.workers.emplace_back(worker_main, static_cast<std::size_t>(lane));
+    pool.workers.emplace_back(worker_main, static_cast<std::size_t>(lane),
+                              epoch);
   }
   PPACD_GAUGE_SET("exec.pool.size", pool.lanes);
   PPACD_LOG_DEBUG("exec") << "pool configured with " << pool.lanes << " lanes";
@@ -189,6 +267,20 @@ Pool& pool() {
     std::call_once(once, [&pool] { configure(pool, env_thread_count()); });
   }
   return pool;
+}
+
+/// Waits (spin, then park) until every claimed chunk of the region finished.
+void await_drain(Pool& pool) {
+  for (int i = 0; i < kSpinPauses; ++i) {
+    if (pool.remaining.load(std::memory_order_acquire) == 0) return;
+    cpu_relax();
+  }
+  std::unique_lock<std::mutex> lock(pool.park_mutex);
+  pool.caller_parked.store(true, std::memory_order_seq_cst);
+  pool.done_cv.wait(lock, [&pool] {
+    return pool.remaining.load(std::memory_order_seq_cst) == 0;
+  });
+  pool.caller_parked.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -220,28 +312,28 @@ void run_chunks(std::size_t chunk_count, const ChunkFnRef& chunk_fn) {
     for (std::size_t c = 0; c < chunk_count; ++c) chunk_fn(c);
     return;
   }
+  PPACD_CHECK(chunk_count < kClosed, "region of " << chunk_count << " chunks");
 
-  // One region at a time; concurrent callers (not used by the flow) queue up.
   std::lock_guard<std::mutex> region_lock(state.region_mutex);
-  std::unique_lock<std::mutex> lock(state.mutex);
-  state.fn = &chunk_fn;
-  state.pending = chunk_count;
-  state.failed.store(false, std::memory_order_release);
+  // Close the word under the next epoch, write the descriptor, then open.
+  const std::uint64_t epoch =
+      (epoch_of(state.word.load(std::memory_order_relaxed)) + 1) & kIndexMask;
+  state.word.store(make_word(epoch, kClosed), std::memory_order_seq_cst);
+  state.fn.store(&chunk_fn, std::memory_order_release);
+  state.chunk_count.store(chunk_count, std::memory_order_release);
+  state.remaining.store(chunk_count, std::memory_order_relaxed);
+  state.failed.store(false, std::memory_order_relaxed);
   state.error = nullptr;
-  state.queues.assign(static_cast<std::size_t>(state.lanes), {});
-  for (std::size_t c = 0; c < chunk_count; ++c) {
-    state.queues[c % static_cast<std::size_t>(state.lanes)].push_back(c);
+  state.word.store(make_word(epoch, 0), std::memory_order_seq_cst);
+  if (state.parked_workers.load(std::memory_order_seq_cst) > 0) {
+    { std::lock_guard<std::mutex> lock(state.park_mutex); }
+    state.work_cv.notify_all();
   }
-  state.work_cv.notify_all();
 
-  drain_region(state, lock, /*lane=*/0);  // the caller participates as lane 0
-  state.done_cv.wait(lock, [&state] { return state.pending == 0; });
-  state.fn = nullptr;
-  state.queues.clear();
-  const std::exception_ptr error = state.error;
+  drain_region(state, /*lane=*/0, epoch - 1);  // the caller is lane 0
+  await_drain(state);
+  std::exception_ptr error = std::move(state.error);
   state.error = nullptr;
-  lock.unlock();
-  state.work_cv.notify_all();  // release workers parked on the drained region
   if (error) std::rethrow_exception(error);
 }
 

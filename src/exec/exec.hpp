@@ -1,7 +1,8 @@
 /// \file exec.hpp
-/// \brief Deterministic parallel execution: a fixed-size work-stealing thread
-/// pool plus `parallel_for` / `parallel_reduce` helpers used by the flow's
-/// hot paths (V-P&R shape sweeps, quadratic placement, routing, STA).
+/// \brief Deterministic parallel execution: a fixed-size thread pool whose
+/// lanes claim chunks from one atomic word, plus `parallel_for` /
+/// `parallel_reduce` helpers used by the flow's hot paths (V-P&R shape
+/// sweeps, quadratic placement, routing, STA).
 ///
 /// Determinism contract (see DESIGN.md "Parallel execution"):
 ///   * Work is split into chunks whose boundaries depend ONLY on the range
@@ -17,19 +18,30 @@
 /// flow results; tests/determinism_test.cpp enforces it end to end.
 ///
 /// Pool model: one process-wide lazily-created pool of `thread_count() - 1`
-/// worker threads; the calling thread participates as lane 0. Each lane owns
-/// a chunk deque (filled round-robin); idle lanes steal from the back of
-/// other lanes' deques (`exec.steal.count`). A `parallel_for` issued from
-/// inside a worker (nested parallelism) runs its chunks inline, in order, on
-/// that worker — no new tasks, no deadlock, same chunk structure.
+/// worker threads; the calling thread participates as lane 0. A region is
+/// published through one 64-bit claim word (region epoch in the high half,
+/// next chunk index in the low half): every lane claims chunks by
+/// fetch_add on it — no per-lane queues, no lock per claim — and a claim at
+/// or past the chunk count means the region is exhausted. An idle worker
+/// spins a fixed number of pauses watching the word for a new epoch, then
+/// parks on a condition variable; its wake-up test is "the epoch moved past
+/// the last one I finished", so a worker can no longer sleep through a
+/// region that opened while it was waking from the previous one (the lost
+/// wake-up of a predicate that looked at the current region only). The
+/// caller spins, then parks, the same way while other lanes finish the last
+/// chunks. `exec.steal.count` counts chunks run by worker lanes rather than
+/// the caller. A `parallel_for` issued from inside a chunk (nested
+/// parallelism) runs its chunks inline, in order, on that thread — no new
+/// region, no deadlock, same chunk structure.
 ///
 /// Sizing: `PPACD_THREADS` environment variable, else
 /// std::thread::hardware_concurrency(); `set_thread_count()` (e.g. from a
 /// `--threads` CLI flag) reconfigures the pool between parallel regions.
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -132,7 +144,9 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
 /// parallel per chunk; the partials are folded as
 /// combine(...combine(combine(identity, p0), p1)..., pK) in ascending chunk
 /// order on the calling thread, making the result independent of the thread
-/// count (bit-identical for floating-point T).
+/// count (bit-identical for floating-point T). Partials of a trivial T live
+/// on the caller's stack for up to kInlinePartials chunks, so the hot
+/// reductions (the CG dot products) do not allocate.
 template <typename T, typename Map, typename Combine>
 T parallel_reduce(std::size_t begin, std::size_t end, std::size_t grain,
                   T identity, Map&& map, Combine&& combine) {
@@ -141,17 +155,27 @@ T parallel_reduce(std::size_t begin, std::size_t end, std::size_t grain,
   if (chunks == 0) return identity;
   if (chunks == 1) return combine(std::move(identity), map(begin, end));
   const std::size_t step = grain == 0 ? 1 : grain;
-  std::vector<T> partials(chunks, identity);
-  detail::run_chunks(chunks, [&](std::size_t c) {
-    const std::size_t b = begin + c * step;
-    const std::size_t e = b + step < end ? b + step : end;
-    partials[c] = map(b, e);
-  });
-  T result = std::move(identity);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    result = combine(std::move(result), std::move(partials[c]));
+  const auto reduce_into = [&](T* partials) {
+    detail::run_chunks(chunks, [&](std::size_t c) {
+      const std::size_t b = begin + c * step;
+      const std::size_t e = b + step < end ? b + step : end;
+      partials[c] = map(b, e);
+    });
+    T result = std::move(identity);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      result = combine(std::move(result), std::move(partials[c]));
+    }
+    return result;
+  };
+  constexpr std::size_t kInlinePartials = 512;
+  if constexpr (std::is_trivial_v<T> && sizeof(T) <= 16) {
+    if (chunks <= kInlinePartials) {
+      std::array<T, kInlinePartials> partials;
+      return reduce_into(partials.data());
+    }
   }
-  return result;
+  std::vector<T> partials(chunks, identity);
+  return reduce_into(partials.data());
 }
 
 }  // namespace ppacd::exec

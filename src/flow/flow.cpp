@@ -75,6 +75,7 @@ fault::Expected<ClusteringOutcome, fault::FlowError> run_clustering(
         PPACD_SPAN(span, "flow.extract");
         sta::StaOptions sta_options;
         sta_options.clock_period_ps = options.clock_period_ps;
+        sta_options.fault_key = sta::kStaKeyClustering;
         sta::Sta sta(nl, sta_options);
         auto sta_run = sta.try_run();
         if (sta_run.has_value()) {
@@ -614,6 +615,7 @@ fault::Expected<PpaOutcome, fault::FlowError> try_evaluate_ppa(
   sta_options.cell_positions = &positions;
   sta_options.clock_arrivals_ps = &tree.insertion_delay_ps;
   sta_options.observe_stream = true;  // top-level evaluation only
+  sta_options.fault_key = sta::kStaKeySignoff;
   sta::Sta sta(nl, sta_options);
   auto sta_run = sta.try_run();
   if (sta_run.has_value()) {

@@ -1,6 +1,7 @@
 #include "opt/sizing.hpp"
 
 #include <cassert>
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -46,6 +47,7 @@ fault::Expected<SizingResult, fault::FlowError> resize_critical_cells(
     sta::StaOptions sta_options;
     sta_options.clock_period_ps = options.clock_period_ps;
     if (!positions.empty()) sta_options.cell_positions = &positions;
+    sta_options.fault_key = sta::kStaKeySizing + static_cast<std::uint64_t>(round);
     sta::Sta sta(nl, sta_options);
     if (auto timed = sta.try_run(); !timed.has_value()) {
       return fault::Unexpected<fault::FlowError>(std::move(timed).error());
@@ -108,6 +110,8 @@ fault::Expected<SizingResult, fault::FlowError> resize_critical_cells(
     sta::StaOptions sta_options;
     sta_options.clock_period_ps = options.clock_period_ps;
     if (!positions.empty()) sta_options.cell_positions = &positions;
+    sta_options.fault_key =
+        sta::kStaKeySizing + static_cast<std::uint64_t>(options.max_rounds);
     sta::Sta sta(nl, sta_options);
     if (auto timed = sta.try_run(); !timed.has_value()) {
       return fault::Unexpected<fault::FlowError>(std::move(timed).error());

@@ -113,6 +113,10 @@ class BucketQueue {
     const std::size_t next_mask = size - 1;
     if (!ring_.empty()) {
       for (const std::uint64_t b : touched_) {
+        // A drained bucket below cur_ may share its slot with a live bucket
+        // one ring length above it; moving the slot under the drained
+        // bucket's number would re-home the live entries out of order.
+        if (b < cur_) continue;
         std::vector<Entry>& old = ring_[b & mask_];
         if (!old.empty()) next[b & next_mask] = std::move(old);
       }

@@ -338,7 +338,7 @@ fault::Expected<void, fault::FlowError> Sta::try_run() {
   // Fault site `sta.arrival`. Poison lets the propagation finish, then
   // corrupts WNS/TNS so the non-finite check below turns them into a
   // structured error; every other kind fails before propagation.
-  const auto fault_kind = fault::trigger("sta.arrival");
+  const auto fault_kind = fault::trigger("sta.arrival", options_.fault_key);
   ran_ = false;
   if (fault_kind.has_value() && *fault_kind != fault::FaultKind::kPoison) {
     return fault::Unexpected<fault::FlowError>(

@@ -19,6 +19,7 @@
 /// post-CTS network; launch and capture edges then use those arrivals.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <string>
@@ -52,7 +53,18 @@ struct StaOptions {
   /// many nested STA runs (clustering costs, shape sweeps) stay silent; the
   /// flow enables it for the top-level PPA evaluation only.
   bool observe_stream = false;
+  /// Logical key of this analysis at the `sta.arrival` fault site. A flow
+  /// that times one design several times gives each call its own key (the
+  /// kStaKey* values below), so a probabilistic plan decides per call.
+  std::uint64_t fault_key = 0;
 };
+
+/// StaOptions::fault_key of the flow's STA calls.
+inline constexpr std::uint64_t kStaKeyClustering = 0;  ///< clustering timing costs
+inline constexpr std::uint64_t kStaKeySignoff = 1;     ///< final PPA evaluation
+/// Gate sizing: round r uses kStaKeySizing + r, the closing measurement
+/// kStaKeySizing + max_rounds.
+inline constexpr std::uint64_t kStaKeySizing = 2;
 
 /// Static timing engine. Construct, then call try_run(); queries are valid
 /// until the netlist changes.

@@ -456,20 +456,25 @@ TEST(SimdKernelsTest, CsrRowBitIdenticalToScalarReference) {
 // the same Dijkstra-shaped workload — monotone pushes with edge costs
 // >= kMinEdgeCost, duplicate distances, and stale entries — and requires the
 // two pop sequences to match entry for entry.
-TEST(BucketQueueTest, PopOrderMatchesBinaryHeapOnMonotoneWorkload) {
+//
+// One queue serves several searches, as in the router: later searches reuse
+// the ring left by earlier ones, and their costs carry the frontier around
+// the ring several times before an occasional long edge forces it to grow.
+void expect_heap_pop_order(route::BucketQueue& bq, std::uint64_t seed,
+                           double cost_span, double jump_cost) {
   using Entry = route::BucketQueue::Entry;
-  route::BucketQueue bq;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
 
   bq.begin();
-  std::uint64_t s = 0x5eed;
+  std::uint64_t s = seed;
   auto rnd = [&s]() {
     s = s * 6364136223846793005ULL + 1442695040888963407ULL;
     return s;
   };
   // Seed a few sources at distance 0, then interleave pops with relaxations
-  // pushing d + cost, cost in [1, 4); some pushes reuse the exact distance
-  // and node of an earlier one to model stale heap entries.
+  // pushing d + cost, cost in [1, 1 + cost_span) and now and then a long
+  // edge of jump_cost; some pushes reuse the exact distance and node of an
+  // earlier one to model stale heap entries.
   for (std::int32_t node = 0; node < 4; ++node) {
     bq.push(0.0, node);
     heap.emplace(0.0, node);
@@ -485,9 +490,10 @@ TEST(BucketQueueTest, PopOrderMatchesBinaryHeapOnMonotoneWorkload) {
     if (bq_order.size() < 400) {
       const int fanout = 1 + static_cast<int>(rnd() % 2);
       for (int k = 0; k < fanout; ++k) {
-        const double cost =
+        double cost =
             route::BucketQueue::kMinEdgeCost +
-            3.0 * (static_cast<double>(rnd() >> 11) / 9007199254740992.0);
+            cost_span * (static_cast<double>(rnd() >> 11) / 9007199254740992.0);
+        if (jump_cost > 0.0 && rnd() % 64 == 0) cost += jump_cost;
         const double nd = e.first + cost;
         const auto node = static_cast<std::int32_t>(rnd() % 1024);
         bq.push(nd, node);
@@ -506,6 +512,53 @@ TEST(BucketQueueTest, PopOrderMatchesBinaryHeapOnMonotoneWorkload) {
     EXPECT_EQ(bits(bq_order[i].first), bits(heap_order[i].first)) << "pop " << i;
     EXPECT_EQ(bq_order[i].second, heap_order[i].second) << "pop " << i;
   }
+}
+
+TEST(BucketQueueTest, PopOrderMatchesBinaryHeapOnMonotoneWorkload) {
+  route::BucketQueue bq;
+  struct Search {
+    std::uint64_t seed;
+    double cost_span;
+    double jump_cost;
+  };
+  // Short edges first (the ring's initial 64 buckets), then searches whose
+  // frontier wraps that ring before long edges grow it, twice over.
+  const Search searches[] = {{0x5eed, 3.0, 0.0},
+                             {0x5eed + 1, 12.0, 0.0},
+                             {0x5eed + 2, 12.0, 150.0},
+                             {0x5eed + 3, 3.0, 0.0},
+                             {0x5eed + 4, 40.0, 600.0},
+                             {0x5eed + 5, 3.0, 2000.0}};
+  for (const Search& search : searches) {
+    SCOPED_TRACE(::testing::Message() << "seed " << search.seed);
+    expect_heap_pop_order(bq, search.seed, search.cost_span, search.jump_cost);
+  }
+}
+
+// A drained bucket shares its ring slot with the live bucket one ring length
+// above it (0 and 64 in the initial 64-slot ring). Growing the ring must
+// re-home the live bucket under its own number, or 64.5 lands in slot 0 of
+// the larger ring and pops after 200.5 — and the next push below the
+// draining bucket makes grow() loop forever.
+TEST(BucketQueueTest, GrowAfterRingWrapKeepsPopOrder) {
+  route::BucketQueue bq;
+  route::BucketQueue::Entry e;
+  bq.begin();
+  bq.push(0.5, 1);
+  ASSERT_TRUE(bq.pop(e));
+  EXPECT_EQ(e.first, 0.5);
+  bq.push(60.5, 2);
+  ASSERT_TRUE(bq.pop(e));
+  EXPECT_EQ(e.first, 60.5);
+  bq.push(64.5, 3);
+  bq.push(200.5, 4);
+  ASSERT_TRUE(bq.pop(e));
+  EXPECT_EQ(e.first, 64.5);
+  EXPECT_EQ(e.second, 3);
+  ASSERT_TRUE(bq.pop(e));
+  EXPECT_EQ(e.first, 200.5);
+  EXPECT_EQ(e.second, 4);
+  EXPECT_FALSE(bq.pop(e));
 }
 
 }  // namespace

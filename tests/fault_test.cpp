@@ -20,6 +20,7 @@
 #include "gen/designs.hpp"
 #include "gen/generator.hpp"
 #include "netlist/io.hpp"
+#include "sta/sta.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ppacd {
@@ -278,6 +279,37 @@ TEST_F(FaultTest, SizingStaFaultDegradesOrPropagatesPerPolicy) {
       EXPECT_EQ(result.error().site, "sta.arrival");
     }
   }
+}
+
+TEST_F(FaultTest, StaArrivalDecidesPerCallUnderProbabilisticPlan) {
+  // sta.arrival is keyed by StaOptions::fault_key, one key per STA call, so
+  // a 50% plan fails some calls of one run and not others — and a call's
+  // outcome depends only on its key, not on the calls before it.
+  gen::DesignSpec design = gen::design_spec("aes");
+  design.target_cells = 300;
+  const netlist::Netlist nl = gen::generate(lib(), design);
+  fault::set_plan(fault::parse_plan("seed=2;sta.arrival=error%0.5").value());
+  auto failed = [&nl](std::uint64_t key) {
+    sta::StaOptions options;
+    options.fault_key = key;
+    sta::Sta sta(nl, options);
+    const auto run = sta.try_run();
+    if (!run.has_value()) {
+      EXPECT_EQ(run.error().code, "sta-arrival-failed");
+    }
+    return !run.has_value();
+  };
+  std::vector<bool> first;
+  for (std::uint64_t key = 0; key < 16; ++key) first.push_back(failed(key));
+  for (std::uint64_t key = 16; key-- > 0;) {
+    EXPECT_EQ(failed(key), first[key]) << "key " << key;
+  }
+  fault::clear_plan();
+  EXPECT_NE(std::count(first.begin(), first.end(), true), 0);
+  EXPECT_NE(std::count(first.begin(), first.end(), true), 16);
+  // The flow's own calls have distinct keys: under this plan the clustering
+  // call and the sign-off call get different outcomes.
+  EXPECT_NE(first[sta::kStaKeyClustering], first[sta::kStaKeySignoff]);
 }
 
 TEST_F(FaultTest, DisabledPlacePolicyPropagatesStructuredError) {
