@@ -91,7 +91,7 @@ struct Pool {
   std::condition_variable work_cv;  ///< parked workers wait for a new region
   std::condition_variable done_cv;  ///< the parked caller waits for the drain
   std::atomic<int> parked_workers{0};
-  std::atomic<bool> caller_parked{false};
+  std::atomic<int> parked_callers{0};
   std::atomic<bool> shutdown{false};
 };
 
@@ -115,25 +115,44 @@ bool is_new_open(std::uint64_t word, std::uint64_t seen_epoch) {
   return epoch_of(word) != seen_epoch && index_of(word) < kClosed;
 }
 
-/// Waits (spin, then park) until a region newer than `seen_epoch` opens or
-/// the pool shuts down. Returns false on shutdown.
-bool await_region(Pool& pool, std::uint64_t seen_epoch) {
+// --- Spin, then park ---------------------------------------------------------
+// One protocol for both waits (a worker for a new region, the caller for the
+// drain). The waiter announces its park in `parked` before it re-tests
+// `ready`; the waker makes `ready` true before it reads `parked` (all seq_cst),
+// so either the waiter sees the new state or the waker sees the waiter.
+
+/// Spins kSpinPauses pauses on `ready`, then parks on `cv` until it holds.
+/// `ready` must read its state with seq_cst loads.
+template <class Ready>
+void spin_then_park(Pool& pool, std::condition_variable& cv,
+                    std::atomic<int>& parked, Ready ready) {
   for (int i = 0; i < kSpinPauses; ++i) {
-    if (pool.shutdown.load(std::memory_order_acquire)) return false;
-    if (is_new_open(pool.word.load(std::memory_order_acquire), seen_epoch)) {
-      return true;
-    }
+    if (ready()) return;
     cpu_relax();
   }
   std::unique_lock<std::mutex> lock(pool.park_mutex);
-  // Announce the park before re-reading the word; the publisher stores the
-  // word before reading parked_workers, so one of the two sees the other.
-  pool.parked_workers.fetch_add(1, std::memory_order_seq_cst);
-  pool.work_cv.wait(lock, [&pool, seen_epoch] {
+  parked.fetch_add(1, std::memory_order_seq_cst);
+  cv.wait(lock, ready);
+  parked.fetch_sub(1, std::memory_order_relaxed);
+}
+
+/// Wakes the waiters parked on `cv`, if any; call after making their
+/// `ready` true. Taking park_mutex orders the notify after a waiter that
+/// announced itself has entered its wait.
+void wake_parked(Pool& pool, std::condition_variable& cv,
+                 const std::atomic<int>& parked) {
+  if (parked.load(std::memory_order_seq_cst) == 0) return;
+  { std::lock_guard<std::mutex> lock(pool.park_mutex); }
+  cv.notify_all();
+}
+
+/// Waits until a region newer than `seen_epoch` opens or the pool shuts
+/// down. Returns false on shutdown.
+bool await_region(Pool& pool, std::uint64_t seen_epoch) {
+  spin_then_park(pool, pool.work_cv, pool.parked_workers, [&pool, seen_epoch] {
     return pool.shutdown.load(std::memory_order_seq_cst) ||
            is_new_open(pool.word.load(std::memory_order_seq_cst), seen_epoch);
   });
-  pool.parked_workers.fetch_sub(1, std::memory_order_relaxed);
   return !pool.shutdown.load(std::memory_order_acquire);
 }
 
@@ -181,12 +200,8 @@ void run_chunk(Pool& pool, const detail::ChunkFnRef& fn, std::size_t chunk) {
 /// Hands this lane's finished chunks back to the region; the lane that
 /// finishes the last one wakes the caller if it parked.
 void retire_chunks(Pool& pool, std::uint64_t executed) {
-  if (pool.remaining.fetch_sub(executed, std::memory_order_seq_cst) != executed) {
-    return;
-  }
-  if (pool.caller_parked.load(std::memory_order_seq_cst)) {
-    { std::lock_guard<std::mutex> lock(pool.park_mutex); }
-    pool.done_cv.notify_one();
+  if (pool.remaining.fetch_sub(executed, std::memory_order_seq_cst) == executed) {
+    wake_parked(pool, pool.done_cv, pool.parked_callers);
   }
 }
 
@@ -203,7 +218,14 @@ std::uint64_t drain_region(Pool& pool, std::size_t lane,
         pool.word.fetch_add(1, std::memory_order_acq_rel);
     const std::uint64_t epoch = epoch_of(word);
     const std::uint64_t index = index_of(word);
-    if (index >= kClosed) return seen_epoch;
+    if (index >= kClosed) {
+      // Claims past the end of a region this lane joined can reach kClosed
+      // when its chunk count lies near it: that region is exhausted, and the
+      // chunks run here must still be retired. (While this lane holds
+      // unretired chunks the caller cannot close the word for a new epoch.)
+      if (epoch == region.epoch) break;
+      return seen_epoch;
+    }
     if (epoch != region.epoch && !claim_descriptor(pool, epoch, &region)) {
       return epoch;
     }
@@ -231,8 +253,7 @@ void worker_main(std::size_t lane, std::uint64_t seen_epoch) {
 /// Joins the current workers (if any).
 void stop_workers(Pool& pool) {
   pool.shutdown.store(true, std::memory_order_seq_cst);
-  { std::lock_guard<std::mutex> lock(pool.park_mutex); }
-  pool.work_cv.notify_all();
+  wake_parked(pool, pool.work_cv, pool.parked_workers);
   for (std::thread& worker : pool.workers) worker.join();
   pool.workers.clear();
   pool.shutdown.store(false, std::memory_order_relaxed);
@@ -269,18 +290,11 @@ Pool& pool() {
   return pool;
 }
 
-/// Waits (spin, then park) until every claimed chunk of the region finished.
+/// Waits until every claimed chunk of the region finished.
 void await_drain(Pool& pool) {
-  for (int i = 0; i < kSpinPauses; ++i) {
-    if (pool.remaining.load(std::memory_order_acquire) == 0) return;
-    cpu_relax();
-  }
-  std::unique_lock<std::mutex> lock(pool.park_mutex);
-  pool.caller_parked.store(true, std::memory_order_seq_cst);
-  pool.done_cv.wait(lock, [&pool] {
+  spin_then_park(pool, pool.done_cv, pool.parked_callers, [&pool] {
     return pool.remaining.load(std::memory_order_seq_cst) == 0;
   });
-  pool.caller_parked.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -325,10 +339,7 @@ void run_chunks(std::size_t chunk_count, const ChunkFnRef& chunk_fn) {
   state.failed.store(false, std::memory_order_relaxed);
   state.error = nullptr;
   state.word.store(make_word(epoch, 0), std::memory_order_seq_cst);
-  if (state.parked_workers.load(std::memory_order_seq_cst) > 0) {
-    { std::lock_guard<std::mutex> lock(state.park_mutex); }
-    state.work_cv.notify_all();
-  }
+  wake_parked(state, state.work_cv, state.parked_workers);
 
   drain_region(state, /*lane=*/0, epoch - 1);  // the caller is lane 0
   await_drain(state);
