@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
+
+#include "util/dense_scratch.hpp"
 
 namespace ppacd::cluster {
 
@@ -13,19 +14,19 @@ std::vector<double> net_timing_costs(const netlist::Netlist& nl,
                                      std::size_t max_paths) {
   std::vector<double> cost(nl.net_count(), 0.0);
   const auto paths = sta.worst_paths(max_paths);
-  std::unordered_set<netlist::NetId> nets_on_path;
+  // Stamps of the nets already credited on the current path: each net gets
+  // one += per path, in path order.
+  util::DenseScratch<char> on_path(nl.net_count());
   for (const sta::TimingPath& path : paths) {
     const double criticality =
         std::clamp(1.0 - path.slack_ps / clock_period_ps, 0.0, 2.0);
     if (criticality <= 0.0) continue;
-    nets_on_path.clear();
+    on_path.clear();
     for (const netlist::PinId pid : path.pins) {
       const netlist::NetId net = nl.pin(pid).net;
-      if (net != netlist::kInvalidId) nets_on_path.insert(net);
-    }
-    // lint:allow(unordered-iter): one += per distinct net slot, order-free
-    for (const netlist::NetId net : nets_on_path) {
-      cost[net.index()] += criticality;
+      if (net != netlist::kInvalidId && !on_path.test_and_set(net.value())) {
+        cost[net.index()] += criticality;
+      }
     }
   }
 

@@ -77,8 +77,12 @@ fault::Expected<ClusteringOutcome, fault::FlowError> run_clustering(
         sta_options.clock_period_ps = options.clock_period_ps;
         sta_options.fault_key = sta::kStaKeyClustering;
         sta::Sta sta(nl, sta_options);
-        auto sta_run = sta.try_run();
+        auto sta_run = [&] {
+          PPACD_SPAN(sta_span, "flow.extract.sta");
+          return sta.try_run();
+        }();
         if (sta_run.has_value()) {
+          PPACD_SPAN(costs_span, "flow.extract.timing_costs");
           timing_cost = cluster::net_timing_costs(
               nl, sta, options.clock_period_ps, options.top_paths);
         } else if (options.degrade.sta_fallback_hpwl) {
@@ -89,11 +93,14 @@ fault::Expected<ClusteringOutcome, fault::FlowError> run_clustering(
         } else {
           return fault::Unexpected<fault::FlowError>(std::move(sta_run).error());
         }
-        const auto activities =
-            sta::propagate_activity(nl, sta::ActivityOptions{});
-        theta = cluster::net_switching_activity(nl, activities);
-
+        {
+          PPACD_SPAN(activity_span, "flow.extract.activity");
+          const auto activities =
+              sta::propagate_activity(nl, sta::ActivityOptions{});
+          theta = cluster::net_switching_activity(nl, activities);
+        }
         if (nl.has_hierarchy()) {
+          PPACD_SPAN(hier_span, "flow.extract.hier");
           hier_result = hier::hierarchy_clustering(nl);
         }
         PPACD_SPAN_ATTR(span, "hier_clusters", hier_result.cluster_count);

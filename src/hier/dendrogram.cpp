@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "exec/exec.hpp"
 #include "hier/rent.hpp"
 #include "util/logging.hpp"
 
@@ -117,26 +118,35 @@ HierClusteringResult hierarchy_clustering(const netlist::Netlist& nl) {
   result.level_rent.assign(static_cast<std::size_t>(level_max) + 1,
                            std::numeric_limits<double>::quiet_NaN());
 
-  double best = std::numeric_limits<double>::infinity();
   // Candidate levels k in [1, level_max - 1]; see header for why the root
   // level is skipped. A two-level tree (leaves directly under root) has no
-  // interior level, so fall back to the leaf level itself.
+  // interior level, so fall back to the leaf level itself. The levels are
+  // scored in parallel, one per chunk; each keeps only its R_avg, and the
+  // winner's clustering is recomputed below, so peak memory holds one
+  // assignment per lane rather than one per level.
   const int lo = 1;
   const int hi = std::max(1, level_max - 1);
+  exec::parallel_for(
+      static_cast<std::size_t>(lo), static_cast<std::size_t>(hi) + 1, 1,
+      [&](std::size_t k) {
+        std::int32_t count = 0;
+        const auto assignment = dendro.clustering_at(static_cast<int>(k), &count);
+        if (count >= 2) result.level_rent[k] = average_rent(nl, assignment, count);
+      });
+  // Ascending k with a strict <: ties keep the shallower level, and the NaN
+  // of a skipped level never compares less.
+  double best = std::numeric_limits<double>::infinity();
   for (int k = lo; k <= hi; ++k) {
-    std::int32_t count = 0;
-    const auto assignment = dendro.clustering_at(k, &count);
-    if (count < 2) continue;
-    const double r = average_rent(nl, assignment, count);
-    result.level_rent[static_cast<std::size_t>(k)] = r;
+    const double r = result.level_rent[static_cast<std::size_t>(k)];
     if (r < best) {
       best = r;
-      result.cluster_of_cell = assignment;
-      result.cluster_count = count;
       result.chosen_level = k;
     }
   }
-  if (result.chosen_level < 0) {
+  if (result.chosen_level >= 0) {
+    result.cluster_of_cell =
+        dendro.clustering_at(result.chosen_level, &result.cluster_count);
+  } else {
     // Degenerate tree: everything in one cluster.
     result.cluster_of_cell.assign(nl.cell_count(), 0);
     result.cluster_count = 1;

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
 
 namespace ppacd::hier {
 
@@ -17,30 +16,40 @@ std::vector<RentTerms> rent_terms(const netlist::Netlist& nl,
     ++terms[static_cast<std::size_t>(c)].size;
   }
 
-  // Per net: pins per touched cluster; external if >1 cluster or any port.
-  std::unordered_map<std::int32_t, std::int64_t> pins_in_cluster;
+  // Per net: external if it touches a port or more than one cluster. An
+  // external net adds one edge to each cluster it touches (`last_net` marks
+  // the clusters already counted for this net) and one external pin per cell
+  // pin; an internal net's pins are all internal to its one cluster.
+  std::vector<std::int32_t> last_net(static_cast<std::size_t>(cluster_count), -1);
   for (std::size_t ni = 0; ni < nl.net_count(); ++ni) {
     const netlist::Net& net = nl.net(static_cast<netlist::NetId>(ni));
     if (net.is_clock) continue;
-    pins_in_cluster.clear();
-    bool touches_port = false;
+    bool external = false;
+    std::int32_t first = -1;
+    std::int64_t cell_pins = 0;
     for (const netlist::PinId pid : net.pins) {
       const netlist::Pin& pin = nl.pin(pid);
       if (pin.kind == netlist::PinKind::kTopPort) {
-        touches_port = true;
+        external = true;
         continue;
       }
-      ++pins_in_cluster[assignment[pin.cell.index()]];
+      const std::int32_t c = assignment[pin.cell.index()];
+      if (first < 0) first = c;
+      external = external || c != first;
+      ++cell_pins;
     }
-    const bool external = touches_port || pins_in_cluster.size() > 1;
-    // lint:allow(unordered-iter): integer counters per cluster, order-free
-    for (const auto& [cluster, pins] : pins_in_cluster) {
-      RentTerms& t = terms[static_cast<std::size_t>(cluster)];
-      if (external) {
-        ++t.external_edges;
-        t.external_pins += pins;
-      } else {
-        t.internal_pins += pins;
+    if (!external) {
+      if (first >= 0) terms[static_cast<std::size_t>(first)].internal_pins += cell_pins;
+      continue;
+    }
+    for (const netlist::PinId pid : net.pins) {
+      const netlist::Pin& pin = nl.pin(pid);
+      if (pin.kind == netlist::PinKind::kTopPort) continue;
+      const auto c = static_cast<std::size_t>(assignment[pin.cell.index()]);
+      ++terms[c].external_pins;
+      if (last_net[c] != static_cast<std::int32_t>(ni)) {
+        last_net[c] = static_cast<std::int32_t>(ni);
+        ++terms[c].external_edges;
       }
     }
   }

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <new>
-#include <queue>
 
 #include "exec/exec.hpp"
 #include "fault/fault.hpp"
@@ -20,6 +19,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Pins per parallel chunk in the level sweeps; a level must be much wider
 // than this before fan-out pays for itself.
 constexpr std::size_t kPinGrain = 256;
+// Nets or cells per chunk in the graph build's count and fill passes.
+constexpr std::size_t kBuildGrain = 4096;
+// Paths per chunk when worst_paths backtracks them.
+constexpr std::size_t kPathGrain = 256;
 }
 
 Sta::Sta(const netlist::Netlist& netlist, const StaOptions& options)
@@ -51,42 +54,78 @@ double Sta::net_wirelength_um(netlist::NetId net_id) const {
 void Sta::build_graph() {
   const netlist::Netlist& nl = *nl_;
   const liberty::Library& lib = nl.library();
-  arc_from_.clear();
-  arc_to_.clear();
-  arc_delay_.clear();
+  const std::size_t net_count = nl.net_count();
+  const std::size_t cell_count = nl.cell_count();
   endpoints_.clear();
 
-  auto add_arc = [this](netlist::PinId from, netlist::PinId to, double delay) {
-    arc_from_.push_back(from);
-    arc_to_.push_back(to);
-    arc_delay_.push_back(delay);
+  // Arc ids: net arcs first (net order, then pin order), then cell arcs
+  // (cell order, then pin order). Every net and cell counts its arcs, a
+  // prefix sum gives its first arc id, and both fills run in parallel.
+  const auto net_has_arcs = [](const netlist::Net& net) {
+    return !net.is_clock && net.driver != netlist::kInvalidId;
+  };
+  const auto is_data_input = [&](netlist::PinId pid) {
+    const netlist::Pin& pin = nl.pin(pid);
+    return pin.dir == liberty::PinDir::kInput && !pin.is_clock;
+  };
+  std::vector<std::size_t> first_arc(net_count + cell_count + 1, 0);
+  exec::parallel_for(0, net_count, kBuildGrain, [&](std::size_t ni) {
+    const netlist::Net& net = nl.net(static_cast<netlist::NetId>(ni));
+    if (!net_has_arcs(net)) return;
+    first_arc[ni + 1] = static_cast<std::size_t>(
+        std::count_if(net.pins.begin(), net.pins.end(),
+                      [&](netlist::PinId pid) { return pid != net.driver; }));
+  });
+  exec::parallel_for(0, cell_count, kBuildGrain, [&](std::size_t ci) {
+    const netlist::CellId cid = static_cast<netlist::CellId>(ci);
+    if (nl.cell_output_pin(cid) == netlist::kInvalidId) return;
+    const auto& pins = nl.cell(cid).pins;
+    first_arc[net_count + ci + 1] =
+        liberty::is_sequential(nl.lib_cell_of(cid).function)
+            ? 1
+            : static_cast<std::size_t>(
+                  std::count_if(pins.begin(), pins.end(), is_data_input));
+  });
+  for (std::size_t i = 1; i < first_arc.size(); ++i) first_arc[i] += first_arc[i - 1];
+  const std::size_t arc_count = first_arc.back();
+  arc_from_.resize(arc_count);
+  arc_to_.resize(arc_count);
+  arc_delay_.resize(arc_count);
+  const auto set_arc = [this](std::size_t ai, netlist::PinId from, netlist::PinId to,
+                              double delay) {
+    arc_from_[ai] = from;
+    arc_to_[ai] = to;
+    arc_delay_[ai] = delay;
   };
 
   // Per-net: driver load capacitance and per-sink wire delay.
   const bool placed = options_.cell_positions != nullptr;
-  std::vector<double> net_load_ff(nl.net_count(), 0.0);
-  for (std::size_t ni = 0; ni < nl.net_count(); ++ni) {
+  std::vector<double> net_load_ff(net_count, 0.0);
+  exec::parallel_for(0, net_count, kBuildGrain, [&](std::size_t ni) {
     const netlist::NetId net_id = static_cast<netlist::NetId>(ni);
     const netlist::Net& net = nl.net(net_id);
-    if (net.is_clock || net.driver == netlist::kInvalidId) continue;
+    if (!net_has_arcs(net)) return;
 
     double load = 0.0;
     for (netlist::PinId pid : net.pins) {
       if (pid == net.driver) continue;
       const netlist::Pin& pin = nl.pin(pid);
       if (pin.kind == netlist::PinKind::kCellPin) {
+        // lint:allow(parallel-float-accum): per-net local, summed in pin order
         load += lib.cell(nl.cell(pin.cell).lib_cell)
                     .pins[static_cast<std::size_t>(pin.lib_pin)]
                     .cap_ff;
       }
     }
     if (placed) {
+      // lint:allow(parallel-float-accum): per-net local, after its pin sum
       load += lib.wire_cap_ff_per_um() * net_wirelength_um(net_id);
     }
     net_load_ff[ni] = load;
 
     // Net arcs: driver -> each sink, Elmore-style wire delay.
     const geom::Point driver_pos = placed ? pin_position(net.driver) : geom::Point{};
+    std::size_t ai = first_arc[ni];
     for (netlist::PinId pid : net.pins) {
       if (pid == net.driver) continue;
       double wire_delay = 0.0;
@@ -102,47 +141,42 @@ void Sta::build_graph() {
         wire_delay = lib.wire_res_kohm_per_um() * len *
                      (0.5 * lib.wire_cap_ff_per_um() * len + sink_cap);
       }
-      add_arc(net.driver, pid, wire_delay);
+      set_arc(ai++, net.driver, pid, wire_delay);
     }
-  }
+  });
 
   // Cell arcs.
-  for (std::size_t ci = 0; ci < nl.cell_count(); ++ci) {
+  exec::parallel_for(0, cell_count, kBuildGrain, [&](std::size_t ci) {
     const netlist::CellId cid = static_cast<netlist::CellId>(ci);
     const netlist::Cell& cell = nl.cell(cid);
     const liberty::LibCell& lc = lib.cell(cell.lib_cell);
     const netlist::PinId out = nl.cell_output_pin(cid);
-    if (out == netlist::kInvalidId) continue;
+    if (out == netlist::kInvalidId) return;
 
     const netlist::NetId out_net = nl.pin(out).net;
     const double load =
         out_net == netlist::kInvalidId ? 0.0 : net_load_ff[out_net.index()];
     const double delay = lc.intrinsic_ps + lc.drive_res_kohm * load;
 
+    std::size_t ai = first_arc[net_count + ci];
     if (liberty::is_sequential(lc.function)) {
       const int ck = lc.clock_pin_index();
       assert(ck >= 0);
-      add_arc(nl.cell_pin(cid, ck), out, delay);  // CK -> Q launch arc
+      set_arc(ai, nl.cell_pin(cid, ck), out, delay);  // CK -> Q launch arc
     } else {
       for (netlist::PinId pid : cell.pins) {
-        const netlist::Pin& pin = nl.pin(pid);
-        if (pin.dir == liberty::PinDir::kInput && !pin.is_clock) {
-          add_arc(pid, out, delay);
-        }
+        if (is_data_input(pid)) set_arc(ai++, pid, out, delay);
       }
     }
-  }
+  });
 
   // Endpoints: flip-flop D pins and output ports.
-  for (std::size_t ci = 0; ci < nl.cell_count(); ++ci) {
+  for (std::size_t ci = 0; ci < cell_count; ++ci) {
     const netlist::CellId cid = static_cast<netlist::CellId>(ci);
     const liberty::LibCell& lc = lib.cell(nl.cell(cid).lib_cell);
     if (!liberty::is_sequential(lc.function)) continue;
     for (netlist::PinId pid : nl.cell(cid).pins) {
-      const netlist::Pin& pin = nl.pin(pid);
-      if (pin.dir == liberty::PinDir::kInput && !pin.is_clock) {
-        endpoints_.push_back(pid);
-      }
+      if (is_data_input(pid)) endpoints_.push_back(pid);
     }
   }
   for (std::size_t po = 0; po < nl.port_count(); ++po) {
@@ -154,7 +188,6 @@ void Sta::build_graph() {
   // row reads exactly like the push_back sequence it replaced.
   fanin_arcs_.start_rows(nl.pin_count());
   fanout_arcs_.start_rows(nl.pin_count());
-  const std::size_t arc_count = arc_from_.size();
   for (std::size_t ai = 0; ai < arc_count; ++ai) {
     fanout_arcs_.add_to_row(arc_from_[ai].index());
     fanin_arcs_.add_to_row(arc_to_[ai].index());
@@ -168,50 +201,38 @@ void Sta::build_graph() {
                      static_cast<std::int32_t>(ai));
   }
 
-  // Topological order (Kahn).
+  // Topological order: FIFO Kahn, with topo_order_ doubling as the queue.
+  // Level = longest fanin distance. A pin is pushed when its last fanin
+  // pops and pops come in non-decreasing level, so everything pushed while
+  // level l pops is level l + 1: each level is one contiguous run of the
+  // order, ending where the queue stood when the level before it was
+  // exhausted. All arcs cross level boundaries, so the pins of one level
+  // never feed each other and a level can be processed pin-parallel. The
+  // buckets keep topo order, independent of how the sweep is chunked.
   topo_order_.clear();
   topo_order_.reserve(nl.pin_count());
   std::vector<std::int32_t> pending(nl.pin_count(), 0);
-  std::queue<netlist::PinId> ready;
   for (std::size_t p = 0; p < nl.pin_count(); ++p) {
     pending[p] = static_cast<std::int32_t>(fanin_arcs_.row_size(p));
-    if (pending[p] == 0) ready.push(static_cast<netlist::PinId>(p));
+    if (pending[p] == 0) topo_order_.push_back(static_cast<netlist::PinId>(p));
   }
-  while (!ready.empty()) {
-    const netlist::PinId pid = ready.front();
-    ready.pop();
-    topo_order_.push_back(pid);
-    for (std::int32_t ai : fanout_arcs_.row(pid.index())) {
+  level_buckets_.start_append(0, nl.pin_count());
+  std::size_t level_begin = 0;
+  std::size_t level_end = topo_order_.size();
+  for (std::size_t head = 0; head < topo_order_.size(); ++head) {
+    if (head == level_end) {
+      level_buckets_.append_row({topo_order_.data() + level_begin, head - level_begin});
+      level_begin = head;
+      level_end = topo_order_.size();
+    }
+    for (std::int32_t ai : fanout_arcs_.row(topo_order_[head].index())) {
       const netlist::PinId to = arc_to_[static_cast<std::size_t>(ai)];
-      if (--pending[to.index()] == 0) ready.push(to);
+      if (--pending[to.index()] == 0) topo_order_.push_back(to);
     }
   }
+  level_buckets_.append_row(
+      {topo_order_.data() + level_begin, topo_order_.size() - level_begin});
   assert(topo_order_.size() == nl.pin_count() && "timing graph has a cycle");
-
-  // Level = longest fanin distance. All arcs cross level boundaries, so the
-  // pins of one level never feed each other and a level can be processed
-  // pin-parallel. Buckets are filled in topo order, keeping their contents
-  // independent of how the sweep is later chunked.
-  std::vector<std::int32_t> level(nl.pin_count(), 0);
-  std::int32_t max_level = 0;
-  for (const netlist::PinId pid : topo_order_) {
-    const auto p = pid.index();
-    for (std::int32_t ai : fanout_arcs_.row(p)) {
-      const auto to = arc_to_[static_cast<std::size_t>(ai)].index();
-      level[to] = std::max(level[to], level[p] + 1);
-    }
-    max_level = std::max(max_level, level[p]);
-  }
-  level_buckets_.start_rows(static_cast<std::size_t>(max_level) + 1);
-  for (const netlist::PinId pid : topo_order_) {
-    level_buckets_.add_to_row(
-        static_cast<std::size_t>(level[pid.index()]));
-  }
-  level_buckets_.commit_rows();
-  for (const netlist::PinId pid : topo_order_) {
-    level_buckets_.push(
-        static_cast<std::size_t>(level[pid.index()]), pid);
-  }
 }
 
 void Sta::propagate_arrivals() {
@@ -423,12 +444,14 @@ std::vector<TimingPath> Sta::worst_paths(std::size_t max_paths) const {
               return slack_ps(a) < slack_ps(b);
             });
   if (sorted.size() > max_paths) sorted.resize(max_paths);
+  // Unconstrained endpoints (slack +inf) yield no path.
+  std::erase_if(sorted, [this](netlist::PinId end) { return slack_ps(end) == kInf; });
 
-  std::vector<TimingPath> paths;
-  paths.reserve(sorted.size());
-  for (const netlist::PinId end : sorted) {
-    if (slack_ps(end) == kInf) continue;  // unconstrained endpoint
-    TimingPath path;
+  // Each path backtracks on its own, into its own pre-sized slot.
+  std::vector<TimingPath> paths(sorted.size());
+  exec::parallel_for(0, sorted.size(), kPathGrain, [&](std::size_t i) {
+    const netlist::PinId end = sorted[i];
+    TimingPath& path = paths[i];
     path.endpoint = end;
     path.slack_ps = slack_ps(end);
     path.arrival_ps = arrival_.at(end.index());
@@ -440,8 +463,7 @@ std::vector<TimingPath> Sta::worst_paths(std::size_t max_paths) const {
       cursor = ai < 0 ? netlist::kInvalidId : arc_from_[static_cast<std::size_t>(ai)];
     }
     std::reverse(path.pins.begin(), path.pins.end());
-    paths.push_back(std::move(path));
-  }
+  });
   PPACD_COUNT("sta.paths.extracted", paths.size());
   return paths;
 }

@@ -9,9 +9,16 @@
 /// deterministic counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <queue>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "exec/exec.hpp"
@@ -19,8 +26,11 @@
 #include "flow/flow.hpp"
 #include "gen/designs.hpp"
 #include "gen/generator.hpp"
+#include "hier/dendrogram.hpp"
+#include "hier/rent.hpp"
 #include "observe/observe.hpp"
 #include "route/bucket_queue.hpp"
+#include "sta/activity.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/simd.hpp"
 
@@ -559,6 +569,418 @@ TEST(BucketQueueTest, GrowAfterRingWrapKeepsPopOrder) {
   EXPECT_EQ(e.first, 200.5);
   EXPECT_EQ(e.second, 4);
   EXPECT_FALSE(bq.pop(e));
+}
+
+// --- PPA extraction: level-swept activity and parallel Rent levels ---------
+
+namespace frozen {
+
+// The serial activity analysis the level sweep replaced, kept verbatim as
+// the reference: a FIFO Kahn order over the comb cells, then per sweep the
+// comb cells in that order followed by the registers in cell order.
+using liberty::Function;
+using netlist::CellId;
+using netlist::NetId;
+using netlist::Netlist;
+using netlist::PinId;
+
+struct Sig {
+  double p = 0.5;
+  double d = 0.0;
+};
+
+Sig inv(const Sig& a) { return Sig{1.0 - a.p, a.d}; }
+Sig and2(const Sig& a, const Sig& b) {
+  return Sig{a.p * b.p, b.p * a.d + a.p * b.d};
+}
+Sig or2(const Sig& a, const Sig& b) {
+  return Sig{a.p + b.p - a.p * b.p, (1.0 - b.p) * a.d + (1.0 - a.p) * b.d};
+}
+Sig xor2(const Sig& a, const Sig& b) {
+  return Sig{a.p * (1.0 - b.p) + b.p * (1.0 - a.p), a.d + b.d};
+}
+
+Sig evaluate(Function function, const std::vector<Sig>& in) {
+  switch (function) {
+    case Function::kInv: return inv(in.at(0));
+    case Function::kBuf: return in.at(0);
+    case Function::kNand2: return inv(and2(in.at(0), in.at(1)));
+    case Function::kNand3: return inv(and2(and2(in.at(0), in.at(1)), in.at(2)));
+    case Function::kNor2: return inv(or2(in.at(0), in.at(1)));
+    case Function::kAnd2: return and2(in.at(0), in.at(1));
+    case Function::kOr2: return or2(in.at(0), in.at(1));
+    case Function::kXor2: return xor2(in.at(0), in.at(1));
+    case Function::kAoi21: return inv(or2(and2(in.at(0), in.at(1)), in.at(2)));
+    case Function::kOai21: return inv(and2(or2(in.at(0), in.at(1)), in.at(2)));
+    case Function::kMux2: {
+      const Sig& a = in.at(0);
+      const Sig& b = in.at(1);
+      const Sig& s = in.at(2);
+      Sig out;
+      out.p = s.p * a.p + (1.0 - s.p) * b.p;
+      const double p_diff = a.p * (1.0 - b.p) + b.p * (1.0 - a.p);
+      out.d = s.p * a.d + (1.0 - s.p) * b.d + p_diff * s.d;
+      return out;
+    }
+    case Function::kHalfAdder: return xor2(in.at(0), in.at(1));
+    case Function::kFullAdder: return xor2(xor2(in.at(0), in.at(1)), in.at(2));
+    case Function::kDff: return in.at(0);
+    case Function::kTieHi: return Sig{1.0, 0.0};
+    case Function::kTieLo: return Sig{0.0, 0.0};
+  }
+  return Sig{};
+}
+
+std::vector<CellId> comb_topo_order(const Netlist& nl) {
+  std::vector<int> pending(nl.cell_count(), 0);
+  std::vector<std::vector<CellId>> fanout(nl.cell_count());
+  for (std::size_t ni = 0; ni < nl.net_count(); ++ni) {
+    const auto& net = nl.net(static_cast<NetId>(ni));
+    if (net.is_clock || net.driver == netlist::kInvalidId) continue;
+    const auto& driver = nl.pin(net.driver);
+    if (driver.kind != netlist::PinKind::kCellPin) continue;
+    if (liberty::is_sequential(nl.lib_cell_of(driver.cell).function)) continue;
+    for (PinId pid : net.pins) {
+      if (pid == net.driver) continue;
+      const auto& pin = nl.pin(pid);
+      if (pin.kind != netlist::PinKind::kCellPin || pin.is_clock) continue;
+      if (liberty::is_sequential(nl.lib_cell_of(pin.cell).function)) continue;
+      fanout[driver.cell.index()].push_back(pin.cell);
+      ++pending[pin.cell.index()];
+    }
+  }
+  std::vector<CellId> order;
+  std::queue<CellId> ready;
+  for (std::size_t c = 0; c < nl.cell_count(); ++c) {
+    if (liberty::is_sequential(nl.lib_cell_of(static_cast<CellId>(c)).function))
+      continue;
+    if (pending[c] == 0) ready.push(static_cast<CellId>(c));
+  }
+  while (!ready.empty()) {
+    const CellId c = ready.front();
+    ready.pop();
+    order.push_back(c);
+    for (CellId next : fanout[c.index()]) {
+      if (--pending[next.index()] == 0) ready.push(next);
+    }
+  }
+  return order;
+}
+
+std::vector<sta::NetActivity> propagate_activity(
+    const Netlist& nl, const sta::ActivityOptions& options) {
+  std::vector<sta::NetActivity> act(nl.net_count());
+  for (auto& a : act) {
+    a.p_one = 0.5;
+    a.toggle = options.dff_damping * 0.5;
+  }
+  for (std::size_t po = 0; po < nl.port_count(); ++po) {
+    const auto& port = nl.port(static_cast<netlist::PortId>(po));
+    if (port.dir != liberty::PinDir::kInput) continue;
+    const NetId net = nl.pin(port.pin).net;
+    if (net == netlist::kInvalidId) continue;
+    const double jitter = 0.5 + static_cast<double>((po * 2654435761u) % 100) / 100.0;
+    act[net.index()].p_one = options.input_p;
+    act[net.index()].toggle =
+        std::min(options.max_toggle, options.input_toggle * jitter);
+  }
+  for (std::size_t ni = 0; ni < nl.net_count(); ++ni) {
+    if (nl.net(static_cast<NetId>(ni)).is_clock) {
+      act[ni].p_one = 0.5;
+      act[ni].toggle = 2.0;
+    }
+  }
+  const std::vector<CellId> order = comb_topo_order(nl);
+  for (int sweep = 0; sweep < options.sweeps; ++sweep) {
+    for (const CellId cid : order) {
+      const netlist::Cell& cell = nl.cell(cid);
+      const liberty::LibCell& lc = nl.lib_cell_of(cid);
+      const PinId out = nl.cell_output_pin(cid);
+      if (out == netlist::kInvalidId) continue;
+      const NetId out_net = nl.pin(out).net;
+      if (out_net == netlist::kInvalidId) continue;
+      std::vector<Sig> inputs;
+      for (PinId pid : cell.pins) {
+        const auto& pin = nl.pin(pid);
+        if (pin.dir != liberty::PinDir::kInput || pin.is_clock) continue;
+        Sig sig;
+        if (pin.net != netlist::kInvalidId) {
+          sig.p = act[pin.net.index()].p_one;
+          sig.d = act[pin.net.index()].toggle;
+        }
+        inputs.push_back(sig);
+      }
+      Sig out_sig = evaluate(lc.function, inputs);
+      out_sig.p = std::clamp(out_sig.p, 0.0, 1.0);
+      out_sig.d = std::clamp(out_sig.d, 0.0, options.max_toggle);
+      act[out_net.index()].p_one = out_sig.p;
+      act[out_net.index()].toggle = out_sig.d;
+    }
+    for (std::size_t ci = 0; ci < nl.cell_count(); ++ci) {
+      const CellId cid = static_cast<CellId>(ci);
+      const liberty::LibCell& lc = nl.lib_cell_of(cid);
+      if (!liberty::is_sequential(lc.function)) continue;
+      const netlist::Cell& cell = nl.cell(cid);
+      NetId d_net = netlist::kInvalidId;
+      for (PinId pid : cell.pins) {
+        const auto& pin = nl.pin(pid);
+        if (pin.dir == liberty::PinDir::kInput && !pin.is_clock) d_net = pin.net;
+      }
+      const PinId out = nl.cell_output_pin(cid);
+      if (out == netlist::kInvalidId) continue;
+      const NetId q_net = nl.pin(out).net;
+      if (q_net == netlist::kInvalidId) continue;
+      const double p_d =
+          d_net == netlist::kInvalidId ? 0.5 : act[d_net.index()].p_one;
+      act[q_net.index()].p_one = p_d;
+      act[q_net.index()].toggle =
+          std::min(1.0, options.dff_damping * 2.0 * p_d * (1.0 - p_d));
+    }
+  }
+  return act;
+}
+
+// The serial level loop of hierarchy_clustering before the levels ran in
+// parallel, over the std::unordered_map Rent tally it used then.
+double average_rent(const Netlist& nl, const std::vector<std::int32_t>& assignment,
+                    std::int32_t cluster_count) {
+  std::vector<hier::RentTerms> terms(static_cast<std::size_t>(cluster_count));
+  for (std::size_t ci = 0; ci < nl.cell_count(); ++ci) {
+    ++terms[static_cast<std::size_t>(assignment[ci])].size;
+  }
+  std::unordered_map<std::int32_t, std::int64_t> pins_in_cluster;
+  for (std::size_t ni = 0; ni < nl.net_count(); ++ni) {
+    const netlist::Net& net = nl.net(static_cast<NetId>(ni));
+    if (net.is_clock) continue;
+    pins_in_cluster.clear();
+    bool touches_port = false;
+    for (const PinId pid : net.pins) {
+      const netlist::Pin& pin = nl.pin(pid);
+      if (pin.kind == netlist::PinKind::kTopPort) {
+        touches_port = true;
+        continue;
+      }
+      ++pins_in_cluster[assignment[pin.cell.index()]];
+    }
+    const bool external = touches_port || pins_in_cluster.size() > 1;
+    // lint:allow(unordered-iter): integer counters per cluster, order-free
+    for (const auto& [cluster, pins] : pins_in_cluster) {
+      hier::RentTerms& t = terms[static_cast<std::size_t>(cluster)];
+      if (external) {
+        ++t.external_edges;
+        t.external_pins += pins;
+      } else {
+        t.internal_pins += pins;
+      }
+    }
+  }
+  double weighted = 0.0;
+  std::int64_t total = 0;
+  for (hier::RentTerms& t : terms) {
+    const std::int64_t denom = t.internal_pins + t.external_pins;
+    t.rent = t.size <= 1 || denom == 0 || t.external_edges == 0
+                 ? 1.0
+                 : std::log(static_cast<double>(t.external_edges) /
+                            static_cast<double>(denom)) /
+                           std::log(static_cast<double>(t.size)) +
+                       1.0;
+    weighted += t.rent * static_cast<double>(t.size);
+    total += t.size;
+  }
+  return total > 0 ? weighted / static_cast<double>(total) : 1.0;
+}
+
+hier::HierClusteringResult hierarchy_clustering(const Netlist& nl) {
+  hier::HierClusteringResult result;
+  const hier::Dendrogram dendro(nl);
+  const int level_max = dendro.level_max();
+  result.level_rent.assign(static_cast<std::size_t>(level_max) + 1,
+                           std::numeric_limits<double>::quiet_NaN());
+  double best = std::numeric_limits<double>::infinity();
+  for (int k = 1; k <= std::max(1, level_max - 1); ++k) {
+    std::int32_t count = 0;
+    const auto assignment = dendro.clustering_at(k, &count);
+    if (count < 2) continue;
+    const double r = average_rent(nl, assignment, count);
+    result.level_rent[static_cast<std::size_t>(k)] = r;
+    if (r < best) {
+      best = r;
+      result.cluster_of_cell = assignment;
+      result.cluster_count = count;
+      result.chosen_level = k;
+    }
+  }
+  if (result.chosen_level < 0) {
+    result.cluster_of_cell.assign(nl.cell_count(), 0);
+    result.cluster_count = 1;
+    result.chosen_level = 0;
+  }
+  return result;
+}
+
+}  // namespace frozen
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+const int kExtractionThreads[] = {1, 4, 8};
+
+/// Runs the level-swept activity analysis at 1, 4 and 8 threads and requires
+/// every run to match the frozen serial routine bit for bit.
+void expect_activity_matches_frozen(const netlist::Netlist& nl,
+                                    const sta::ActivityOptions& options = {}) {
+  const auto want = frozen::propagate_activity(nl, options);
+  for (const int threads : kExtractionThreads) {
+    exec::set_thread_count(threads);
+    const auto got = sta::propagate_activity(nl, options);
+    EXPECT_TRUE(same_bytes(got, want)) << nl.name() << " at " << threads << " threads";
+  }
+}
+
+netlist::Netlist generated(const char* design, int cells) {
+  gen::DesignSpec spec = gen::design_spec(design);
+  spec.target_cells = cells;
+  return gen::generate(lib(), spec);
+}
+
+/// Connects `pins` to a new net named `name`.
+netlist::NetId wire(netlist::Netlist& nl, const std::string& name,
+                    std::initializer_list<netlist::PinId> pins) {
+  const netlist::NetId net = nl.add_net(name);
+  for (const netlist::PinId pin : pins) nl.connect(net, pin);
+  return net;
+}
+
+TEST_F(DeterminismTest, ActivityMatchesFrozenSerialSweepOnGeneratedDesigns) {
+  // The 20k-cell jpeg has levels wider than the sweep's chunk grain, so the
+  // 4- and 8-thread runs really split levels across lanes.
+  for (const auto& [design, cells] :
+       {std::pair{"aes", 600}, std::pair{"jpeg", 20000},
+        std::pair{"MemPool Group", 3000}}) {
+    expect_activity_matches_frozen(generated(design, cells));
+  }
+  sta::ActivityOptions options;
+  options.sweeps = 5;
+  options.input_p = 0.3;
+  options.dff_damping = 0.8;
+  expect_activity_matches_frozen(generated("ariane", 4000), options);
+}
+
+TEST_F(DeterminismTest, ActivityMatchesFrozenOnShiftChainLoopAndDanglingInput) {
+  netlist::Netlist nl(lib(), "hand");
+  const auto dff = *lib().find("DFF_X1");
+  const auto inv = *lib().find("INV_X1");
+  const auto and2 = *lib().find("AND2_X1");
+  const auto nand2 = *lib().find("NAND2_X1");
+  const auto mux2 = *lib().find("MUX2_X1");
+  const auto root = nl.root_module();
+  const auto clk = nl.add_port("clk", liberty::PinDir::kInput);
+  const auto in = nl.add_port("in", liberty::PinDir::kInput);
+  const auto out = nl.add_port("out", liberty::PinDir::kOutput);
+
+  // Shift chain r0 -> r1 -> r2 in cell order, plus r3 (a lower index than
+  // the register feeding it would have) closing through an AND with the
+  // chain input: each register must read its D after the earlier-indexed
+  // registers of the same sweep have updated.
+  const auto r3 = nl.add_cell("r3", dff, root);
+  const auto r0 = nl.add_cell("r0", dff, root);
+  const auto r1 = nl.add_cell("r1", dff, root);
+  const auto r2 = nl.add_cell("r2", dff, root);
+  const auto g_and = nl.add_cell("g_and", and2, root);
+  const auto clk_net = wire(nl, "clk", {nl.port(clk).pin, nl.cell_pin(r0, 1),
+                                        nl.cell_pin(r1, 1), nl.cell_pin(r2, 1),
+                                        nl.cell_pin(r3, 1)});
+  nl.mark_clock_net(clk_net);
+  wire(nl, "n_in", {nl.port(in).pin, nl.cell_pin(g_and, 0)});
+  const auto n_and = wire(nl, "n_and", {nl.cell_output_pin(g_and), nl.cell_pin(r0, 0)});
+  wire(nl, "q0", {nl.cell_output_pin(r0), nl.cell_pin(r1, 0)});
+  const auto q1 = wire(nl, "q1", {nl.cell_output_pin(r1), nl.cell_pin(r2, 0)});
+  const auto q2 = wire(nl, "q2", {nl.cell_output_pin(r2), nl.cell_pin(r3, 0)});
+  wire(nl, "q3", {nl.cell_output_pin(r3), nl.cell_pin(g_and, 1),
+                  nl.port(out).pin});
+
+  // Combinational loop l0 -> l1 -> l0, with l2 downstream of it: none of the
+  // three is ever evaluated, so their nets keep the register default.
+  const auto l0 = nl.add_cell("l0", nand2, root);
+  const auto l1 = nl.add_cell("l1", inv, root);
+  const auto l2 = nl.add_cell("l2", inv, root);
+  wire(nl, "n_l0", {nl.cell_output_pin(l0), nl.cell_pin(l1, 0)});
+  wire(nl, "n_l1", {nl.cell_output_pin(l1), nl.cell_pin(l0, 0), nl.cell_pin(l2, 0)});
+  nl.connect(q2, nl.cell_pin(l0, 1));
+  wire(nl, "n_l2", {nl.cell_output_pin(l2)});
+
+  // Dangling inputs: a MUX2 with no select and a NAND2 with one input.
+  const auto m = nl.add_cell("m", mux2, root);
+  const auto d = nl.add_cell("d", nand2, root);
+  nl.connect(q1, nl.cell_pin(m, 0));
+  nl.connect(n_and, nl.cell_pin(m, 1));
+  wire(nl, "n_m", {nl.cell_output_pin(m), nl.cell_pin(d, 0)});
+  wire(nl, "n_d", {nl.cell_output_pin(d)});
+
+  expect_activity_matches_frozen(nl);
+  sta::ActivityOptions options;
+  options.sweeps = 7;
+  expect_activity_matches_frozen(nl, options);
+}
+
+TEST_F(DeterminismTest, ActivityMatchesFrozenWhenCombCellsReadAGatedClock) {
+  // A buffer drives a clock net that 600 AND gates also read as data. No
+  // Kahn edge orders those reads, and the buffer shares level 0 with the
+  // gates, after them in Kahn order: the gates must read the buffer's value
+  // from the previous sweep. The level is wider than one chunk, so only the
+  // serial fallback keeps the buffer's chunk from running first (or at the
+  // same time, which ThreadSanitizer reports).
+  netlist::Netlist nl(lib(), "gated");
+  const auto dff = *lib().find("DFF_X1");
+  const auto buf = *lib().find("BUF_X1");
+  const auto and2 = *lib().find("AND2_X1");
+  const auto root = nl.root_module();
+  const auto clk = nl.add_port("clk", liberty::PinDir::kInput);
+  const auto d = nl.add_port("d", liberty::PinDir::kInput);
+  const auto gclk = nl.add_net("gclk");
+  nl.mark_clock_net(gclk);
+  const auto d_net = wire(nl, "d", {nl.port(d).pin});
+  std::vector<netlist::CellId> gates;
+  for (int i = 0; i < 600; ++i) {
+    gates.push_back(nl.add_cell("x" + std::to_string(i), and2, root));
+    nl.connect(gclk, nl.cell_pin(gates.back(), 0));
+    nl.connect(d_net, nl.cell_pin(gates.back(), 1));
+  }
+  const auto r = nl.add_cell("r", dff, root);
+  const auto b = nl.add_cell("b", buf, root);
+  nl.mark_clock_net(wire(nl, "clk", {nl.port(clk).pin, nl.cell_pin(r, 1)}));
+  wire(nl, "x0", {nl.cell_output_pin(gates[0]), nl.cell_pin(r, 0)});
+  for (std::size_t i = 1; i < gates.size(); ++i) {
+    wire(nl, "x" + std::to_string(i), {nl.cell_output_pin(gates[i])});
+  }
+  wire(nl, "q", {nl.cell_output_pin(r), nl.cell_pin(b, 0)});
+  nl.connect(gclk, nl.cell_output_pin(b));
+  sta::ActivityOptions options;
+  options.sweeps = 6;
+  expect_activity_matches_frozen(nl, options);
+}
+
+TEST_F(DeterminismTest, HierarchyClusteringMatchesFrozenSerialLevelLoop) {
+  for (const auto& [design, cells] :
+       {std::pair{"aes", 600}, std::pair{"ariane", 6000},
+        std::pair{"MemPool Group", 3000}}) {
+    const netlist::Netlist nl = generated(design, cells);
+    ASSERT_TRUE(nl.has_hierarchy()) << design;
+    const hier::HierClusteringResult want = frozen::hierarchy_clustering(nl);
+    for (const int threads : kExtractionThreads) {
+      exec::set_thread_count(threads);
+      const hier::HierClusteringResult got = hier::hierarchy_clustering(nl);
+      EXPECT_TRUE(same_bytes(got.level_rent, want.level_rent))
+          << design << " at " << threads << " threads";
+      EXPECT_EQ(got.chosen_level, want.chosen_level) << design;
+      EXPECT_EQ(got.cluster_count, want.cluster_count) << design;
+      EXPECT_TRUE(same_bytes(got.cluster_of_cell, want.cluster_of_cell))
+          << design << " at " << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

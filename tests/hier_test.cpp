@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <unordered_map>
 
 #include "gen/designs.hpp"
 #include "gen/generator.hpp"
@@ -140,6 +142,79 @@ TEST(Rent, GoodClusteringBeatsRandom) {
   }
   EXPECT_LT(average_rent(nl, good.cluster_of_cell, good.cluster_count),
             average_rent(nl, random, good.cluster_count));
+}
+
+/// Brute-force Rent tally: one std::unordered_map of pins per touched
+/// cluster for every net, the form rent_terms used before its flat tally.
+std::vector<RentTerms> reference_rent_terms(const Netlist& nl,
+                                            const std::vector<std::int32_t>& assignment,
+                                            std::int32_t cluster_count) {
+  std::vector<RentTerms> terms(static_cast<std::size_t>(cluster_count));
+  for (std::size_t ci = 0; ci < nl.cell_count(); ++ci) {
+    ++terms[static_cast<std::size_t>(assignment[ci])].size;
+  }
+  for (std::size_t ni = 0; ni < nl.net_count(); ++ni) {
+    const netlist::Net& net = nl.net(static_cast<NetId>(ni));
+    if (net.is_clock) continue;
+    std::unordered_map<std::int32_t, std::int64_t> pins_in_cluster;
+    bool touches_port = false;
+    for (const netlist::PinId pid : net.pins) {
+      const netlist::Pin& pin = nl.pin(pid);
+      if (pin.kind == netlist::PinKind::kTopPort) {
+        touches_port = true;
+        continue;
+      }
+      ++pins_in_cluster[assignment[pin.cell.index()]];
+    }
+    const bool external = touches_port || pins_in_cluster.size() > 1;
+    // lint:allow(unordered-iter): integer counters per cluster, order-free
+    for (const auto& [cluster, pins] : pins_in_cluster) {
+      RentTerms& t = terms[static_cast<std::size_t>(cluster)];
+      if (external) {
+        ++t.external_edges;
+        t.external_pins += pins;
+      } else {
+        t.internal_pins += pins;
+      }
+    }
+  }
+  for (RentTerms& t : terms) {
+    const std::int64_t denom = t.internal_pins + t.external_pins;
+    if (t.size > 1 && denom > 0 && t.external_edges > 0) {
+      t.rent = std::log(static_cast<double>(t.external_edges) /
+                        static_cast<double>(denom)) /
+                   std::log(static_cast<double>(t.size)) +
+               1.0;
+    }
+  }
+  return terms;
+}
+
+TEST(Rent, TermsMatchBruteForceTallyOnRandomAssignments) {
+  gen::DesignSpec spec = gen::design_spec("jpeg");
+  spec.target_cells = 500;
+  const Netlist nl = gen::generate(lib(), spec);
+  util::Rng rng(11);
+  const auto cells = static_cast<std::int32_t>(nl.cell_count());
+  for (const std::int32_t clusters : {1, 2, 7, 60, cells / 2, cells}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<std::int32_t> assignment(nl.cell_count());
+      for (auto& c : assignment) {
+        c = static_cast<std::int32_t>(rng.index(static_cast<std::size_t>(clusters)));
+      }
+      const auto got = rent_terms(nl, assignment, clusters);
+      const auto want = reference_rent_terms(nl, assignment, clusters);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t c = 0; c < got.size(); ++c) {
+        SCOPED_TRACE(::testing::Message() << clusters << " clusters, cluster " << c);
+        EXPECT_EQ(got[c].external_edges, want[c].external_edges);
+        EXPECT_EQ(got[c].external_pins, want[c].external_pins);
+        EXPECT_EQ(got[c].internal_pins, want[c].internal_pins);
+        EXPECT_EQ(got[c].size, want[c].size);
+        EXPECT_EQ(std::memcmp(&got[c].rent, &want[c].rent, sizeof(double)), 0);
+      }
+    }
+  }
 }
 
 TEST(HierClustering, ProducesValidAssignment) {

@@ -9,7 +9,10 @@
 #include <thread>
 #include <vector>
 
+#include "flow/flow.hpp"
 #include "flow/report.hpp"
+#include "gen/designs.hpp"
+#include "gen/generator.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -419,6 +422,33 @@ TEST(Macros, RecordIntoGlobalRegistry) {
   EXPECT_EQ(metrics().counter("test.macro.counter").value(), 3);
   EXPECT_DOUBLE_EQ(metrics().gauge("test.macro.gauge").value(), 1.5);
   EXPECT_EQ(metrics().histogram("test.macro.hist").count(), 1);
+}
+
+TEST(Macros, ClusteredFlowSplitsExtractionIntoItsFourSteps) {
+  static const liberty::Library lib = liberty::Library::nangate45_like();
+  gen::DesignSpec spec = gen::design_spec("aes");
+  spec.target_cells = 300;
+  netlist::Netlist nl = gen::generate(lib, spec);
+  flow::FlowOptions options;
+  options.vpr.min_cluster_instances = 1 << 20;  // no shape sweep
+  reset_spans();
+  ASSERT_TRUE(flow::try_run_clustered_flow(nl, options).has_value());
+
+  const std::vector<SpanRecord> spans = span_snapshot();
+  const auto extract = std::find_if(spans.begin(), spans.end(), [](const SpanRecord& s) {
+    return s.name == "flow.extract";
+  });
+  ASSERT_NE(extract, spans.end());
+  const auto extract_index = extract - spans.begin();
+  for (const char* step : {"flow.extract.sta", "flow.extract.timing_costs",
+                           "flow.extract.activity", "flow.extract.hier"}) {
+    const auto it = std::find_if(spans.begin(), spans.end(), [&](const SpanRecord& s) {
+      return s.name == step;
+    });
+    ASSERT_NE(it, spans.end()) << step;
+    EXPECT_EQ(it->parent, extract_index) << step;
+    EXPECT_GE(it->dur_us, 0.0) << step;
+  }
 }
 #endif  // !PPACD_TELEMETRY_DISABLED
 
